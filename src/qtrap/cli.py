@@ -15,9 +15,8 @@ prints a JSON object mapping check name to {pass, measured, threshold} and
 exits 4 if any check fails.
 
 A config file (--config, key=value lines, '#' comments) supplies defaults;
-explicit flags win.  QTRAP_THREADS > 1 runs the verify checks in a thread
-pool.  Exit codes: 0 ok, 2 usage or domain error, 3 numeric failure,
-4 failed verification.
+explicit flags win.  Exit codes: 0 ok, 2 usage or domain error, 3 numeric
+failure, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -429,12 +426,7 @@ def cmd_verify(args, cfg) -> int:
             return False, float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
         return bool(ok), float(measured), float(threshold), None
 
-    threads = int(os.environ.get("QTRAP_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, [fn for _, fn in checks]))
-    else:
-        outcomes = [run(fn) for _, fn in checks]
+    outcomes = [run(fn) for _, fn in checks]
 
     report = {}
     all_ok = True

@@ -305,48 +305,64 @@ def bessel_zeros(m: int, count: int) -> BesselZeroTable:
     """First `count` positive zeros of J_m.
 
     Brackets come from a sign scan with step pi/4 starting just above m
-    (the first zero of J_m exceeds m); each bracket is polished by Newton
-    iteration to |dx| < 1e-13.
+    (the first zero of J_m exceeds m).  The scan nodes are evaluated in one
+    `bessel_j` call per window: the first window spans 4 steps per zero
+    wanted, and each further one 4 steps per zero still missing (plus 8), until
+    `count` brackets are found or the scan budget of 16 count + 400 steps
+    runs out.  All brackets are then polished together by Newton iteration
+    to |dx| < 1e-13.
     """
     m = _validate_order(m)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
 
-    zeros = []
-    x0 = m + 1.8
-    f0 = bessel_j(m, x0)
+    # accumulated rather than x0 + k step, so each node is bit-identical to
+    # the one a step-by-step scan reaches
     budget = 16 * count + 400
-    for _ in range(budget):
-        x1 = x0 + _SCAN_STEP
-        f1 = bessel_j(m, x1)
-        if f0 == 0.0:
-            zeros.append(x0)
-        elif f0 * f1 < 0.0:
-            zeros.append(_newton_zero(m, x0, x1))
-        if len(zeros) >= count:
-            return BesselZeroTable(m=m, zeros=np.array(zeros[:count]))
-        x0, f0 = x1, f1
-    raise NumericError(f"failed to bracket {count} zeros of J_{m} within scan budget")
+    xs = np.add.accumulate(np.concatenate([[m + 1.8], np.full(budget, _SCAN_STEP)]))
+    fs = np.empty(0)
+    found = 0
+    while found < count:
+        if fs.size == xs.size:
+            raise NumericError(f"failed to bracket {count} zeros of J_{m} within scan budget")
+        upto = min(xs.size, fs.size + 4 * (count - found) + 9)
+        fs = np.concatenate([fs, bessel_j(m, xs[fs.size:upto])])
+        f0 = fs[:-1]
+        exact = f0 == 0.0
+        hits = np.flatnonzero(exact | (f0 * fs[1:] < 0.0))
+        found = hits.size
+    hits = hits[:count]
+    zeros = xs[hits]
+    bracket = ~exact[hits]
+    zeros[bracket] = _newton_zeros(m, xs[hits[bracket]], xs[hits[bracket] + 1])
+    return BesselZeroTable(m=m, zeros=zeros)
 
 
-def _newton_zero(m: int, lo: float, hi: float) -> float:
+def _newton_zeros(m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Polish every bracket [lo_i, hi_i] at once; each iterate that escapes
+    its bracket by more than 1 falls back to a bisection step."""
+    lo, hi = lo.copy(), hi.copy()
     x = 0.5 * (lo + hi)
+    out = np.empty_like(x)
+    live = np.arange(x.size)
     for _ in range(60):
         f = bessel_j(m, x)
-        df = bessel_j_prime(m, x)
-        step = f / df
-        x_new = x - step
-        if not lo - 1.0 < x_new < hi + 1.0:  # fall back to bisection on escape
-            fl = bessel_j(m, lo)
-            if fl * f < 0.0:
-                hi = x
-            else:
-                lo = x
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-13:
-            return x_new
-        x = x_new
-    raise NumericError(f"Newton polish stalled for J_{m} zero near {x:.6f}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = x - f / bessel_j_prime(m, x)
+        esc = ~((lo - 1.0 < x_new) & (x_new < hi + 1.0))
+        if np.any(esc):
+            left = bessel_j(m, lo[esc]) * f[esc] < 0.0
+            xe = x[esc]
+            hi[esc] = np.where(left, xe, hi[esc])
+            lo[esc] = np.where(left, lo[esc], xe)
+            x_new[esc] = 0.5 * (lo[esc] + hi[esc])
+        done = np.abs(x_new - x) < 1e-13
+        out[live[done]] = x_new[done]
+        keep = ~done
+        if not np.any(keep):
+            return out
+        x, lo, hi, live = x_new[keep], lo[keep], hi[keep], live[keep]
+    raise NumericError(f"Newton polish stalled for J_{m} zero near {x[0]:.6f}")
 
 
 # --------------------------------------------------------------------------

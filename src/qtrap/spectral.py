@@ -30,6 +30,9 @@ integrates adaptively on its own panel layout.
 
 Operator matrix elements in that moving basis reduce to six one-dimensional
 Bessel moment integrals, which are tabulated once per (m, N_max) and cached.
+Each is a weighted product of the Bessel block and its derivative on a
+fixed GK15 rule of its own, under the same error estimate and fallback; see
+`moment_tables`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "TruncationError",
     "SpectralState",
     "MomentTable",
-    "xi",
     "overlap_I",
     "coeffs_from_eigenstate",
     "coeffs_from_initial",
@@ -136,15 +138,10 @@ class TrapGeometry:
         return self.hbar ** 2 * x * x / (2.0 * self.mu * self.L(t) ** 2)
 
 
-def xi(geom: TrapGeometry, t: float) -> float:
-    """Expansion factor L(t)/a for the given geometry."""
-    return geom.xi(t)
-
-
 # --------------------------------------------------------------------------
 # Cached zero tables
 
-_ZERO_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_ZERO_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _zeros_cached(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +218,7 @@ def _bessel_grid(m: int, n_max: int) -> _BesselGrid:
 
     The panel count resolves a wall phase as large as the Bessel phase
     2 x_max itself: 376 rad at m = 0, n_max = 60, several times the largest
-    wall phase in the acceptance battery.  The cache takes no lock; threads
-    that miss it together each build the same table, and one copy is kept.
+    wall phase in the acceptance battery.
     """
     key = (m, n_max)
     grid = _GRID_CACHE.get(key)
@@ -238,30 +234,46 @@ def _bessel_grid(m: int, n_max: int) -> _BesselGrid:
     return grid
 
 
-def _i_matrix_on_grid(grid: _BesselGrid, xi_t: float, alpha: float) -> np.ndarray | None:
-    """J^T diag(w s e^{-i alpha xi s^2}) J on the grid, or None if the summed
-    per-panel K15 - G7 estimate misses `integrate`'s default target."""
-    j = grid.j
-    panels, nodes = grid.s.shape
-    n = j.shape[1]
-    w = grid.s * np.exp(-1j * alpha * xi_t * grid.s ** 2)
+def _fixed_rule_product(weight: np.ndarray, w_kron: np.ndarray, w_err: np.ndarray,
+                        left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+    """int left^T weight right on a fixed composite GK15 rule, or None.
 
-    def sandwich(d, jl, jr):
-        # J^T diag(d) J for a complex weight d over a real block
-        return np.matmul(jl * d.real[..., None, :], jr) + 1j * np.matmul(jl * d.imag[..., None, :], jr)
+    `weight`, `w_kron` and `w_err` have one row per panel and one column per
+    node (as `gk15_panels` returns them); `left` and `right` hold one row per
+    node, panel-major.  The per-panel K15 - G7 matrices are formed
+    `_ERR_CHUNK_ELEMS` elements at a time; their worst components are summed
+    as `integrate` does, and None is returned when that sum misses
+    `integrate`'s default target, so the caller can fall back to it.
+    """
+    def sandwich(d, lb, rb):
+        # lb^T diag(d) rb over real blocks with leading batch axes; a complex
+        # weight is split so the products stay real
+        lt = lb.swapaxes(-1, -2)
+        if np.iscomplexobj(d):
+            return (np.matmul(lt * d.real[..., None, :], rb)
+                    + 1j * np.matmul(lt * d.imag[..., None, :], rb))
+        return np.matmul(lt * d[..., None, :], rb)
 
-    mat = sandwich((w * grid.w_kron).ravel(), j.T, j)
-    diff = w * grid.w_err
-    jp = j.reshape(panels, nodes, n)
-    step = max(1, _ERR_CHUNK_ELEMS // (n * n))
+    panels, nodes = w_kron.shape
+    mat = sandwich((weight * w_kron).ravel(), left, right)
+    diff = weight * w_err
+    lp = left.reshape(panels, nodes, -1)
+    rp = right.reshape(panels, nodes, -1)
+    step = max(1, _ERR_CHUNK_ELEMS // (lp.shape[2] * rp.shape[2]))
     err = 0.0
     for lo in range(0, panels, step):
-        blk = jp[lo:lo + step]
-        e = np.abs(sandwich(diff[lo:lo + step], blk.transpose(0, 2, 1), blk))
+        e = np.abs(sandwich(diff[lo:lo + step], lp[lo:lo + step], rp[lo:lo + step]))
         err += float(e.reshape(e.shape[0], -1).max(axis=1).sum())
     if err > max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat)))):
         return None
     return mat
+
+
+def _i_matrix_on_grid(grid: _BesselGrid, xi_t: float, alpha: float) -> np.ndarray | None:
+    """J^T diag(w s e^{-i alpha xi s^2}) J on the grid, or None if the grid's
+    error estimate misses `integrate`'s default target."""
+    weight = grid.s * np.exp(-1j * alpha * xi_t * grid.s ** 2)
+    return _fixed_rule_product(weight, grid.w_kron, grid.w_err, grid.j, grid.j)
 
 
 def _i_matrix(m: int, xi_t: float, alpha: float, n_max: int) -> np.ndarray:
@@ -501,7 +513,16 @@ _TABLE_CACHE: dict[tuple[int, int], MomentTable] = {}
 
 
 def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
-    """Moment tables for angular index m with radial indices 1..n_max."""
+    """Moment tables for angular index m with radial indices 1..n_max.
+
+    g_n and g'_n are evaluated once per node of a fixed composite GK15 rule
+    on the layout adaptive quadrature would start from (`_osc_panels(2 x_max)`
+    panels), and each table is one product g^T diag(w s^k) g or
+    g^T diag(w s^k) g'.  A table whose summed per-panel K15 - G7 estimate
+    misses `integrate`'s default target is rebuilt by adaptive `integrate`.
+    The rule is the tables' own, not the overlap grid `_bessel_grid`, so the
+    two routes of `energy_ratio_paths` do not share their numerics.
+    """
     key = (m, n_max)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
@@ -519,19 +540,26 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
             return -zeros[None, :] * bessel_j(1, sx)
         return zeros[None, :] * 0.5 * (bessel_j(m - 1, sx) - bessel_j(m + 1, sx))
 
-    def a_m(k):
+    def adaptive(k, with_gprime):
         def f(s):
-            j = pair(s)
-            return (s ** k)[:, None, None] * j[:, :, None] * j[:, None, :]
-        val = np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
+            jl = pair(s)
+            jr = gprime(s) if with_gprime else jl
+            return (s ** k)[:, None, None] * jl[:, :, None] * jr[:, None, :]
+        return np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
+
+    s, w_kron, w_err = gk15_panels(0.0, 1.0, panels)
+    j = pair(s.ravel())
+    gp = gprime(s.ravel())
+
+    def a_m(k):
+        val = _fixed_rule_product(s ** k, w_kron, w_err, j, j)
+        if val is None:
+            val = adaptive(k, False)
         return 0.5 * (val + val.T)
 
     def b_m(k):
-        def f(s):
-            j = pair(s)
-            gp = gprime(s)
-            return (s ** k)[:, None, None] * j[:, :, None] * gp[:, None, :]
-        return np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
+        val = _fixed_rule_product(s ** k, w_kron, w_err, j, gp)
+        return adaptive(k, True) if val is None else val
 
     A3 = a_m(3)
     A1 = a_m(1)

@@ -210,15 +210,6 @@ def test_verify_captures_crashed_check(monkeypatch, capsys):
     assert "deliberately broken" in report["boom"]["error"]
 
 
-def test_verify_threaded_keeps_order(monkeypatch, capsys):
-    names = [f"c{i}" for i in range(6)]
-    monkeypatch.setattr(cli, "_CHECKS", [(nm, _stub_pass) for nm in names])
-    monkeypatch.setenv("QTRAP_THREADS", "3")
-    assert main(["verify"]) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert list(report) == names
-
-
 def test_verify_drop_phase_negative_control(monkeypatch, capsys):
     # the flag must swap the agreement check for the broken reconstruction
     # and the run must then fail; stubs keep the rest of the battery cheap

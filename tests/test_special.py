@@ -124,9 +124,49 @@ def test_zero_table_invariants():
 
 
 def test_zeros_against_scipy():
-    for m in (0, 1, 5, 40):
-        assert_allclose(bessel_zeros(m, 30).zeros, sps.jn_zeros(m, 30),
+    for m, count in ((0, 30), (1, 30), (5, 30), (40, 30), (50, 30),
+                     (0, 200), (5, 200)):
+        assert_allclose(bessel_zeros(m, count).zeros, sps.jn_zeros(m, count),
                         rtol=0, atol=1e-11)
+
+
+def _scalar_scan_zeros(m, count):
+    """Reference finder: one bessel_j call per scan step and per Newton step."""
+    zeros = []
+    x0 = m + 1.8
+    f0 = bessel_j(m, x0)
+    while len(zeros) < count:
+        x1 = x0 + math.pi / 4.0
+        f1 = bessel_j(m, x1)
+        if f0 == 0.0:
+            zeros.append(x0)
+        elif f0 * f1 < 0.0:
+            lo, hi = x0, x1
+            x = 0.5 * (lo + hi)
+            for _ in range(60):
+                f = bessel_j(m, x)
+                x_new = x - f / bessel_j_prime(m, x)
+                if not lo - 1.0 < x_new < hi + 1.0:
+                    if bessel_j(m, lo) * f < 0.0:
+                        hi = x
+                    else:
+                        lo = x
+                    x_new = 0.5 * (lo + hi)
+                if abs(x_new - x) < 1e-13:
+                    break
+                x = x_new
+            else:
+                raise AssertionError(f"reference Newton stalled near {x}")
+            zeros.append(x_new)
+        x0, f0 = x1, f1
+    return np.array(zeros)
+
+
+def test_zeros_match_scalar_scan():
+    # the batched scan and polish must reproduce the one-point-at-a-time finder
+    for m, count in ((0, 20), (3, 20), (50, 12)):
+        assert_allclose(bessel_zeros(m, count).zeros, _scalar_scan_zeros(m, count),
+                        rtol=0, atol=1e-13)
 
 
 def test_zero_table_rejects_bad_input():

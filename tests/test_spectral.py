@@ -321,6 +321,64 @@ def test_gradient_moment_against_direct_quadrature():
     assert_allclose(tab.B0[n - 1, n - 1] + tab.C1[n - 1, n - 1], ref, rtol=1e-11)
 
 
+_MOMENTS = (("A3", 3, False), ("A1", 1, False), ("Aneg1", -1, False),
+            ("B0", 0, True), ("B2", 2, True))
+
+
+def _adaptive_moment(m, n_max, k, derivative):
+    """int s^k g_i g_j ds (or g_i g'_j) by adaptive quadrature from the
+    adaptive route's initial layout."""
+    from qtrap.quad import integrate
+    zeros, _ = _zeros(m, n_max)
+
+    def f(s):
+        sx = s[:, None] * zeros[None, :]
+        j = bessel_j(m, sx)
+        right = zeros[None, :] * bessel_j_prime(m, sx) if derivative else j
+        return (s ** k)[:, None, None] * j[:, :, None] * right[:, None, :]
+
+    panels = spectral._osc_panels(2.0 * zeros[-1])
+    return integrate(f, 0.0, 1.0, initial_panels=panels).value
+
+
+@pytest.mark.parametrize("m", [0, 5])
+def test_fixed_rule_moment_tables_match_adaptive(m, monkeypatch):
+    monkeypatch.setattr(spectral, "_TABLE_CACHE", {})
+    calls = _spy_integrate(monkeypatch)
+    tab = moment_tables(m, 60)
+    assert calls == []  # every table met its target on the fixed rule
+    for name, k, derivative in _MOMENTS:
+        if m == 0 and name == "Aneg1":
+            continue  # divergent at m = 0, stored as NaN
+        ref = _adaptive_moment(m, 60, k, derivative)
+        assert np.max(np.abs(getattr(tab, name) - ref)) < 1e-12, name
+
+
+def test_moment_tables_fall_back_when_estimate_misses(monkeypatch):
+    # a zero target cannot be met by any error estimate
+    on_rule = moment_tables(1, 8)
+    monkeypatch.setattr(spectral, "_TABLE_CACHE", {})
+    monkeypatch.setattr(spectral, "ABS_TOL", 0.0)
+    monkeypatch.setattr(spectral, "REL_TOL", 0.0)
+    calls = _spy_integrate(monkeypatch)
+    adaptive = moment_tables(1, 8)
+    assert len(calls) == len(_MOMENTS)
+    for name in ("A3", "A1", "Aneg1", "B0", "B2", "C1"):
+        assert np.max(np.abs(getattr(adaptive, name) - getattr(on_rule, name))) < 1e-12, name
+
+
+def test_moment_tables_do_not_read_overlap_grid(monkeypatch):
+    # the closed energy route must not share the overlap route's nodes
+    def refuse(*args):
+        raise AssertionError("moment tables read the overlap grid")
+
+    monkeypatch.setattr(spectral, "_bessel_grid", refuse)
+    monkeypatch.setattr(spectral, "_TABLE_CACHE", {})
+    tab = moment_tables(0, 20)
+    assert tab.n_max == 20
+    assert np.all(np.isfinite(tab.A3))
+
+
 # --------------------------------------------------------------------------
 # Expectation values
 
