@@ -13,6 +13,10 @@ Dimensionless conventions for a mode (m, n) with zero x = x_mn:
 
 with R the radial factor of Psi = R(rho, t) e^{i m phi} / sqrt(2 pi).  The
 wall sits at eta = xi x / (2 pi).
+
+Every radial factor here comes from `spectral.modes`, the one place the
+dressed-mode factor is formed: an exact mode is a general state with a unit
+coefficient vector, and the kernel is modes(sigma, t) modes(sigma', t')^H.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from .spectral import (
     N_MAX_DEFAULT,
     SpectralState,
     TrapGeometry,
+    _check_state_geom,
     _i_matrix,
     _radial_wave,
     _zeros_cached,
     coeffs_from_eigenstate,
+    modes,
 )
 
 __all__ = [
@@ -67,18 +73,6 @@ class FlightTimes:
 # --------------------------------------------------------------------------
 # Wave functions
 
-def _mode_radial(m: int, n: int, sigma: np.ndarray, t: float, geom: TrapGeometry,
-                 drop_moving_phase: bool = False) -> np.ndarray:
-    """Radial factor of the exact mode at scaled radius sigma = rho/L."""
-    zeros, absj = _zeros_cached(m, n)
-    x = zeros[n - 1]
-    L = geom.L(t)
-    arg = -x * x * geom.tau(t)
-    if not drop_moving_phase:
-        arg = arg + geom.alpha * geom.xi(t) * sigma * sigma
-    return np.exp(1j * arg) * (math.sqrt(2.0) / (L * absj[n - 1])) * bessel_j(m, x * sigma)
-
-
 def psi_exact(m: int, n: int, rho, phi, t: float, geom: TrapGeometry,
               drop_moving_phase: bool = False):
     """Exact mode solution Psi_mn(rho, phi, t); zero on and outside the wall.
@@ -89,6 +83,14 @@ def psi_exact(m: int, n: int, rho, phi, t: float, geom: TrapGeometry,
     """
     if n < 1:
         raise DomainError("radial index must be >= 1")
+    unit = SpectralState(m=m, alpha=geom.alpha, coeffs=np.eye(1, n, n - 1)[0])
+    return psi_general(unit, rho, phi, t, geom, drop_moving_phase)
+
+
+def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry,
+                drop_moving_phase: bool = False):
+    """Evolved wave for an arbitrary coefficient state; zero outside the wall."""
+    _check_state_geom(state, geom)
     rho_b, phi_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(phi, float))
     scalar = rho_b.ndim == 0
     rho_b = np.atleast_1d(rho_b)
@@ -102,27 +104,6 @@ def psi_exact(m: int, n: int, rho, phi, t: float, geom: TrapGeometry,
     if np.any(inside):
         # the radial factor depends on rho alone, and sampled grids repeat
         # each radius over many angles: evaluate it once per radius
-        radii, where = np.unique(sigma[inside], return_inverse=True)
-        rad = _mode_radial(m, n, radii, t, geom, drop_moving_phase)[where]
-        out[inside] = rad * np.exp(1j * m * phi_b[inside]) / math.sqrt(2.0 * math.pi)
-    return complex(out[0]) if scalar else out
-
-
-def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry,
-                drop_moving_phase: bool = False):
-    """Evolved wave for an arbitrary coefficient state; zero outside the wall."""
-    rho_b, phi_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(phi, float))
-    scalar = rho_b.ndim == 0
-    rho_b = np.atleast_1d(rho_b)
-    phi_b = np.atleast_1d(phi_b)
-    if np.any(rho_b < 0.0):
-        raise DomainError("rho must be nonnegative")
-    L = geom.L(t)
-    sigma = rho_b / L
-    out = np.zeros(rho_b.shape, dtype=complex)
-    inside = sigma < 1.0
-    if np.any(inside):
-        # once per radius, as in psi_exact
         radii, where = np.unique(sigma[inside], return_inverse=True)
         rad = _radial_wave(state, radii, t, geom, drop_moving_phase)[where]
         out[inside] = rad * np.exp(1j * state.m * phi_b[inside]) / math.sqrt(2.0 * math.pi)
@@ -207,24 +188,17 @@ def density_timeseries(m: int, n: int, alpha_ratio: float, eta_obs: float,
         )
     geom = TrapGeometry.from_alpha(alpha_ratio * alpha_mn)
     state = coeffs_from_eigenstate(m, n, geom)
-    zeros, absj = _zeros_cached(m, state.n_max)
 
     nu = x * x / (4.0 * math.pi)
     flight = FlightTimes(T1=x / (4.0 * math.pi) * (rho0 - 1.0),
                          T2=x / (4.0 * math.pi) * (rho0 + 1.0))
     Ts = np.linspace(0.0, T_max, steps)
     ts = Ts / nu
-    Ls = 1.0 + geom.u * ts
     dens = np.zeros_like(Ts)
-    inside = rho0 < Ls
+    inside = ts > (rho0 - geom.a) / geom.u  # the wall has passed rho0
     if np.any(inside):
-        xi_in = Ls[inside]
-        sig = rho0 / xi_in
-        tau = ts[inside] / (2.0 * xi_in)
-        j = bessel_j(m, sig[:, None] * zeros[None, :])
-        amp = state.coeffs[None, :] * np.exp(-1j * np.outer(tau, zeros ** 2)) \
-            * (math.sqrt(2.0) / (xi_in[:, None] * absj[None, :]))
-        rad = np.exp(1j * geom.alpha * xi_in * sig * sig) * np.sum(j * amp, axis=1)
+        t_in = ts[inside]
+        rad = _radial_wave(state, rho0 / geom.L(t_in), t_in, geom)
         dens[inside] = lam ** 2 * eta_obs * np.abs(rad) ** 2
     samples = [RadialDensitySample(eta=float(eta_obs), T=float(T), rho_density=float(d))
                for T, d in zip(Ts, dens)]
@@ -275,14 +249,9 @@ def propagator(m_list, r, t: float, r_prime, t_prime: float, geom: TrapGeometry,
     for m in m_list:
         if m < 0:
             raise DomainError("angular indices in m_list must be >= 0")
-        zeros, absj = _zeros_cached(m, n_max)
-        sig = rho / L
-        sig_p = rho_p / L_p
-        j = bessel_j(m, zeros * sig)
-        j_p = bessel_j(m, zeros * sig_p)
-        ph = np.exp(1j * (geom.alpha * geom.xi(t) * sig ** 2 - zeros ** 2 * geom.tau(t)))
-        ph_p = np.exp(1j * (geom.alpha * geom.xi(t_prime) * sig_p ** 2 - zeros ** 2 * geom.tau(t_prime)))
-        rad = np.sum((2.0 / (L * L_p * absj ** 2)) * j * j_p * ph * np.conj(ph_p))
+        # radial kernel modes(sigma, t) modes(sigma', t')^H
+        rad = modes(m, [rho / L], t, geom, n_max)[0] \
+            @ np.conj(modes(m, [rho_p / L_p], t_prime, geom, n_max)[0])
         ang = 1.0 if m == 0 else 2.0 * math.cos(m * (phi - phi_p))
         total += rad * ang / (2.0 * math.pi)
     return complex(total)
@@ -303,25 +272,18 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     dphi = 2.0 * math.pi / n_phi
 
-    # build the radial kernel factors once per m; phi' enters analytically
-    zeros_absj = {m: _zeros_cached(m, n_max) for m in m_list}
-    L = geom.L(t)
-    sig = rho / L
+    sig = rho / geom.L(t)
     if sig >= 1.0:
         return 0.0 + 0.0j
+    # target-side modes once per m; phi' enters analytically
+    target = {m: modes(m, [sig], t, geom, n_max)[0] for m in m_list}
 
     def integrand(sp):
         # sp: scaled source radius rho'/L'
         vals = np.zeros(sp.shape, dtype=complex)
         psi_grid = psi_func(L_p * sp[:, None], phis[None, :])  # (S, n_phi)
         for m in m_list:
-            zeros, absj = zeros_absj[m]
-            j = bessel_j(m, zeros * sig)
-            ph = np.exp(1j * (geom.alpha * geom.xi(t) * sig ** 2 - zeros ** 2 * geom.tau(t)))
-            jp = bessel_j(m, sp[:, None] * zeros[None, :])
-            php = np.exp(1j * (geom.alpha * geom.xi(t_prime) * sp[:, None] ** 2
-                               - zeros[None, :] ** 2 * geom.tau(t_prime)))
-            rad = (jp * np.conj(php)) @ (2.0 / (L * L_p * absj ** 2) * j * ph)
+            rad = np.conj(modes(m, sp, t_prime, geom, n_max)) @ target[m]
             if m == 0:
                 ang = np.sum(psi_grid, axis=1) * dphi / (2.0 * math.pi)
             else:
@@ -330,7 +292,7 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
             vals += rad * ang
         return vals * sp * L_p ** 2
 
-    x_hi = max(float(zeros_absj[m][0][-1]) for m in m_list)
+    x_hi = max(float(_zeros_cached(m, n_max)[0][-1]) for m in m_list)
     res = integrate(integrand, 0.0, 1.0,
                     initial_panels=max(8, int(math.ceil((abs(geom.alpha) * geom.xi(t_prime) + 2 * x_hi) / math.pi))))
     return complex(res.value)
@@ -365,12 +327,7 @@ def pde_residual(m: int, n: int, geom: TrapGeometry, grid: int,
     ht = 0.1 * h * geom.mu * geom.a / geom.hbar
 
     def mode(rr, tt):
-        zeros, absj = _zeros_cached(m, n)
-        x = zeros[n - 1]
-        Lt = geom.L(tt)
-        sig = rr / Lt
-        ph = np.exp(1j * (geom.alpha * geom.xi(tt) * sig ** 2 - x * x * geom.tau(tt)))
-        return ph * (math.sqrt(2.0) / (Lt * absj[n - 1])) * bessel_j(m, x * sig)
+        return modes(m, rr / geom.L(tt), tt, geom, n)[:, n - 1]
 
     f0 = mode(rho, t)
     dt = (mode(rho, t + ht) - mode(rho, t - ht)) / (2.0 * ht)

@@ -11,7 +11,10 @@ alpha = mu a u / (2 hbar), and the compressed time
     tau(t) = hbar t / (2 mu a^2 xi),
 
 which for u != 0 equals (1 - 1/xi)/(4 alpha); the identity form is used so no
-branch at u = 0 is needed.  A general state is carried as coefficients c_n'
+branch at u = 0 is needed.  `modes` is the one place this mode factor is
+formed: it returns the radial factors of the modes n = 1..N_max as one
+(points x modes) matrix, and every wave function, density and kernel in
+`evolve` is built from it.  A general state is carried as coefficients c_n'
 over the dressed modes at t = 0; its projection b_n'(t) onto the moving
 instantaneous basis is a single matrix-vector product against the overlap
 matrix
@@ -55,6 +58,7 @@ __all__ = [
     "coeffs_from_initial",
     "b_coeffs",
     "b_coeffs_direct",
+    "modes",
     "moment_tables",
     "matrix_element",
     "expectation",
@@ -112,25 +116,29 @@ class TrapGeometry:
     def alpha(self) -> float:
         return self.mu * self.a * self.u / (2.0 * self.hbar)
 
-    def L(self, t: float) -> float:
-        """Wall radius at time t >= 0."""
+    def L(self, t):
+        """Wall radius at time t >= 0 (one time or an array of times)."""
         return self.a * self.xi(t)
 
-    def xi(self, t: float) -> float:
-        """Expansion factor L(t)/a."""
-        t = float(t)
-        if t < 0.0:
-            raise DomainError(f"time must be nonnegative, got {t}")
-        val = 1.0 + self.u * t / self.a
-        if val < XI_MIN:
-            raise DomainError(
-                f"wall compressed to xi = {val:.4g} < {XI_MIN}; beyond supported range"
-            )
-        return val
+    def xi(self, t):
+        """Expansion factor L(t)/a; a float for one time, an array for many.
 
-    def tau(self, t: float) -> float:
-        """Compressed time hbar t / (2 mu a^2 xi)."""
-        return self.hbar * float(t) / (2.0 * self.mu * self.a ** 2 * self.xi(t))
+        Every time must be nonnegative and keep xi >= XI_MIN.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0.0):
+            raise DomainError(f"time must be nonnegative, got {t.min()}")
+        val = 1.0 + self.u * t / self.a
+        if np.any(val < XI_MIN):
+            raise DomainError(
+                f"wall compressed to xi = {val.min():.4g} < {XI_MIN}; beyond supported range"
+            )
+        return float(val) if val.ndim == 0 else val
+
+    def tau(self, t):
+        """Compressed time hbar t / (2 mu a^2 xi), elementwise like `xi`."""
+        val = self.hbar * np.asarray(t, dtype=float) / (2.0 * self.mu * self.a ** 2 * self.xi(t))
+        return float(val) if val.ndim == 0 else val
 
     def energy(self, m: int, n: int, t: float = 0.0) -> float:
         """Instantaneous mode energy hbar^2 x_mn^2 / (2 mu L^2)."""
@@ -417,29 +425,44 @@ def b_coeffs(state: SpectralState, t: float, geom: TrapGeometry) -> np.ndarray:
     return 2.0 / absj * (np.conj(imat) @ v)
 
 
-def _radial_wave(state: SpectralState, sigma: np.ndarray, t: float,
+def modes(m: int, sigma: np.ndarray, t, geom: TrapGeometry, n_max: int,
+          drop_moving_phase: bool = False,
+          bessel_block: np.ndarray | None = None) -> np.ndarray:
+    """Radial factors of the dressed modes n = 1..n_max at sigma = rho/L(t).
+
+    Returns the (points, n_max) matrix whose column n - 1 is
+
+        exp[i (alpha xi sigma^2 - x_mn^2 tau)] sqrt(2) / (L |J_{m+1}(x_mn)|) J_m(x_mn sigma),
+
+    normalized so that int_0^1 |column|^2 L^2 sigma dsigma = 1.  `t` is one
+    time or one time per point.  `drop_moving_phase` deliberately omits the
+    quadratic wall phase; the result then no longer solves the equation of
+    motion.  It exists as a negative control so consistency checks can prove
+    they would notice.  `bessel_block`, if given, is J_m(x_mn sigma) with one
+    row per sigma, so a caller that needs the block too evaluates it only once.
+    """
+    zeros, absj = _zeros_cached(m, n_max)
+    sigma = np.asarray(sigma, dtype=float)
+    amp = np.exp(-1j * np.multiply.outer(geom.tau(t), zeros ** 2)) \
+        * (math.sqrt(2.0) / np.multiply.outer(geom.L(t), absj))
+    if not drop_moving_phase:
+        amp = np.exp(1j * geom.alpha * geom.xi(t) * sigma * sigma)[:, None] * amp
+    j = bessel_block
+    if j is None:
+        j = bessel_j(m, sigma[:, None] * zeros[None, :])
+    return j * amp
+
+
+def _radial_wave(state: SpectralState, sigma: np.ndarray, t,
                  geom: TrapGeometry, drop_moving_phase: bool = False,
                  bessel_block: np.ndarray | None = None) -> np.ndarray:
     """Radial factor of the evolved state at scaled radius sigma = rho/L(t).
 
-    Normalized so that int_0^1 |R|^2 L^2 sigma dsigma = sum |c|^2.
-    `drop_moving_phase` deliberately omits the quadratic wall phase; the
-    result then no longer solves the equation of motion.  It exists as a
-    negative control so consistency checks can prove they would notice.
-    `bessel_block`, if given, is J_m(x_n sigma) with one row per sigma, so a
-    caller that needs the block too evaluates it only once.
+    Normalized so that int_0^1 |R|^2 L^2 sigma dsigma = sum |c|^2; the
+    arguments are those of `modes`.
     """
-    zeros, absj = _zeros_cached(state.m, state.n_max)
-    L = geom.L(t)
-    tau = geom.tau(t)
-    amp = state.coeffs * np.exp(-1j * zeros ** 2 * tau) * (math.sqrt(2.0) / (L * absj))
-    j = bessel_block
-    if j is None:
-        j = bessel_j(state.m, sigma[:, None] * zeros[None, :])
-    wave = j @ amp
-    if drop_moving_phase:
-        return wave
-    return np.exp(1j * geom.alpha * geom.xi(t) * sigma * sigma) * wave
+    return modes(state.m, sigma, t, geom, state.n_max, drop_moving_phase,
+                 bessel_block) @ state.coeffs
 
 
 def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
@@ -517,8 +540,8 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
 
     g_n and g'_n are evaluated once per node of a fixed composite GK15 rule
     on the layout adaptive quadrature would start from (`_osc_panels(2 x_max)`
-    panels), and each table is one product g^T diag(w s^k) g or
-    g^T diag(w s^k) g'.  A table whose summed per-panel K15 - G7 estimate
+    panels), g' from J_{m-1} and the g block itself, and each table is one
+    product g^T diag(w s^k) g or g^T diag(w s^k) g'.  A table whose summed per-panel K15 - G7 estimate
     misses `integrate`'s default target is rebuilt by adaptive `integrate`.
     The rule is the tables' own, not the overlap grid `_bessel_grid`, so the
     two routes of `energy_ratio_paths` do not share their numerics.
@@ -534,22 +557,24 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
     def pair(s):
         return bessel_j(m, s[:, None] * zeros[None, :])
 
-    def gprime(s):
+    def gprime(s, j):
+        # x J_m'(x s) from the J_m block j on the same nodes:
+        # J_m' = J_{m-1} - (m / z) J_m, and J_0' = -J_1
         sx = s[:, None] * zeros[None, :]
         if m == 0:
             return -zeros[None, :] * bessel_j(1, sx)
-        return zeros[None, :] * 0.5 * (bessel_j(m - 1, sx) - bessel_j(m + 1, sx))
+        return zeros[None, :] * bessel_j(m - 1, sx) - (m / s)[:, None] * j
 
     def adaptive(k, with_gprime):
         def f(s):
             jl = pair(s)
-            jr = gprime(s) if with_gprime else jl
+            jr = gprime(s, jl) if with_gprime else jl
             return (s ** k)[:, None, None] * jl[:, :, None] * jr[:, None, :]
         return np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
 
     s, w_kron, w_err = gk15_panels(0.0, 1.0, panels)
     j = pair(s.ravel())
-    gp = gprime(s.ravel())
+    gp = gprime(s.ravel(), j)
 
     def a_m(k):
         val = _fixed_rule_product(s ** k, w_kron, w_err, j, j)

@@ -88,6 +88,12 @@ def test_general_state_matches_mode_in_static_trap():
         assert np.max(np.abs(got - want)) < 1e-10
 
 
+def test_general_state_rejects_other_geometry():
+    state = coeffs_from_eigenstate(0, 1, TrapGeometry.from_alpha(1.2))
+    with pytest.raises(DomainError):
+        psi_general(state, 0.5, 0.0, 0.1, TrapGeometry.from_alpha(3.0))
+
+
 def test_general_state_reproduces_initial_wave():
     # at t = 0 the coefficient sum must rebuild the undressed eigenmode
     m, n = 0, 2

@@ -10,6 +10,7 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 
 from qtrap import spectral
+from qtrap.quad import integrate
 from qtrap.special import DomainError, bessel_j, bessel_j_prime
 from qtrap.spectral import (
     TrapGeometry,
@@ -60,6 +61,20 @@ def test_geometry_domain_errors():
     contracting = TrapGeometry(a=1.0, u=-1.0)
     with pytest.raises(DomainError):
         contracting.xi(0.999)  # wall collapsed
+
+
+def test_geometry_accepts_time_arrays():
+    geom = TrapGeometry(a=1.0, u=-1.0)
+    assert type(geom.xi(0.5)) is float
+    assert type(geom.L(0.5)) is float
+    assert type(geom.tau(0.5)) is float
+    ts = np.array([0.0, 0.25, 0.5])
+    assert_allclose(geom.xi(ts), [geom.xi(t) for t in ts], rtol=0, atol=0)
+    assert_allclose(geom.tau(ts), [geom.tau(t) for t in ts], rtol=0, atol=0)
+    with pytest.raises(DomainError, match="nonnegative"):
+        geom.xi(np.array([0.1, -0.2, 0.3]))
+    with pytest.raises(DomainError, match="compressed"):
+        geom.xi(np.array([0.1, 0.99, 0.3]))
 
 
 def test_tau_closed_form():
@@ -249,6 +264,59 @@ def test_state_geometry_mismatch_rejected():
     other = TrapGeometry.from_alpha(2.0)
     with pytest.raises(DomainError):
         b_coeffs(state, 0.1, other)
+
+
+# --------------------------------------------------------------------------
+# Dressed modes
+
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("drop", [False, True])
+def test_modes_match_single_mode_formula(m, drop):
+    geom = TrapGeometry.from_alpha(-0.7)
+    t, n_max = 0.3, 8
+    sigma = np.linspace(0.0, 0.98, 13)
+    got = spectral.modes(m, sigma, t, geom, n_max, drop_moving_phase=drop)
+    assert got.shape == (sigma.size, n_max)
+    zeros, absj = _zeros(m, n_max)
+    L, xi_t, tau = geom.L(t), geom.xi(t), geom.tau(t)
+    for n in (1, 4, n_max):
+        # the mode written out term by term, one column at a time
+        x = zeros[n - 1]
+        arg = -x * x * tau
+        if not drop:
+            arg = arg + geom.alpha * xi_t * sigma * sigma
+        want = np.exp(1j * arg) * (math.sqrt(2.0) / (L * absj[n - 1])) * bessel_j(m, x * sigma)
+        # phases up to ~100 rad are summed in another order: last digits differ
+        assert_allclose(got[:, n - 1], want, rtol=1e-12, atol=1e-13)
+
+
+def test_modes_one_time_per_point_matches_scalar_calls():
+    geom = TrapGeometry.from_alpha(1.3)
+    sigma = np.array([0.1, 0.45, 0.45, 0.9])
+    ts = np.array([0.0, 0.2, 0.7, 1.5])
+    got = spectral.modes(2, sigma, ts, geom, 10)
+    for i, (s, t) in enumerate(zip(sigma, ts)):
+        row = spectral.modes(2, np.array([s]), t, geom, 10)[0]
+        assert_allclose(got[i], row, rtol=1e-14, atol=1e-15)
+
+
+@hyp.settings(max_examples=8, deadline=None)
+@hyp.given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=12),
+           st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=0.3, max_value=3.0))
+def test_modes_orthonormal(m, n_max, alpha, xi_t):
+    # the wall reaches xi_t at some finite t > 0
+    hyp.assume(abs(alpha) >= 0.01 and alpha * (xi_t - 1.0) > 0.0)
+    geom = TrapGeometry.from_alpha(alpha)
+    t = (xi_t - 1.0) / geom.u
+    L = geom.L(t)
+
+    def f(s):
+        md = spectral.modes(m, s, t, geom, n_max)
+        return (L * L * s)[:, None, None] * np.conj(md)[:, :, None] * md[:, None, :]
+
+    x_hi = float(_zeros(m, n_max)[0][-1])
+    gram = integrate(f, 0.0, 1.0, initial_panels=spectral._osc_panels(2.0 * x_hi)).value
+    assert np.max(np.abs(gram - np.eye(n_max))) < 1e-10
 
 
 # --------------------------------------------------------------------------
