@@ -81,11 +81,12 @@ def _csv(meta: list[tuple[str, object]], header: list[str],
 # --------------------------------------------------------------------------
 # Config handling
 
+_UNIT_KEYS = {"a", "u", "hbar", "mu"}
 _CONFIG_KEYS = {"m", "n", "alpha_ratio", "xi", "t_max", "eta_obs", "nmax",
-                "grid", "out", "a", "u", "hbar", "mu"}
+                "grid", "out"} | _UNIT_KEYS
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str) -> dict:
     if not path:
         return {}
     cfg = {}
@@ -101,6 +102,8 @@ def _load_config(path: str | None) -> dict:
                 key = key.replace("-", "_")
                 if key not in _CONFIG_KEYS:
                     raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in _UNIT_KEYS and command != "energy":
+                    raise DomainError(f"{path}:{lineno}: only `energy` reads key {key!r}")
                 cfg[key] = val
     except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
@@ -134,6 +137,11 @@ def _geometry_from(cfg: dict, alpha: float) -> TrapGeometry:
     return TrapGeometry.from_alpha(alpha)
 
 
+def _x(m: int, n: int) -> float:
+    zeros, _ = spectral._zeros_cached(m, n)
+    return float(zeros[n - 1])
+
+
 # --------------------------------------------------------------------------
 # Tabular commands
 
@@ -157,9 +165,7 @@ def cmd_energy(args, cfg) -> int:
     nmax = _resolve(args, cfg, "nmax", spectral.N_MAX_DEFAULT, int)
     out = _resolve(args, cfg, "out", None, str)
 
-    zeros, _ = spectral._zeros_cached(m, n)
-    x = float(zeros[n - 1])
-    geom = _geometry_from(cfg, ratio * 0.5 * x)
+    geom = _geometry_from(cfg, ratio * 0.5 * _x(m, n))
     if geom.u == 0.0:
         raise DomainError("energy sweep needs a moving wall (alpha_ratio != 0)")
     if (xi_end - 1.0) * geom.u < 0.0:
@@ -228,9 +234,7 @@ def cmd_density_t(args, cfg) -> int:
     t_max = _resolve(args, cfg, "t_max", 6.0, float)
     grid = _resolve(args, cfg, "grid", 800, int)
     out = _resolve(args, cfg, "out", None, str)
-    zeros, _ = spectral._zeros_cached(m, n)
-    x = float(zeros[n - 1])
-    eta_obs = _resolve(args, cfg, "eta_obs", x / math.pi, float)
+    eta_obs = _resolve(args, cfg, "eta_obs", _x(m, n) / math.pi, float)
 
     samples, flight = evolve.density_timeseries(m, n, ratio, eta_obs, t_max, grid)
     vis = evolve.visibility(samples, flight)
@@ -244,11 +248,6 @@ def cmd_density_t(args, cfg) -> int:
 
 # --------------------------------------------------------------------------
 # Verification battery
-
-def _x(m: int, n: int) -> float:
-    zeros, _ = spectral._zeros_cached(m, n)
-    return float(zeros[n - 1])
-
 
 def _check_orthonormality():
     worst = 0.0
@@ -356,9 +355,7 @@ def _check_propagator():
     direct = evolve.psi_general(state, r_eval[0], r_eval[1], t_dst, geom)
 
     def psi_src(rho_p, phi_p):
-        shape = np.broadcast(rho_p, phi_p).shape
-        return evolve.psi_general(state, np.broadcast_to(rho_p, shape),
-                                  np.broadcast_to(phi_p, shape), t_src, geom)
+        return evolve.psi_general(state, rho_p, phi_p, t_src, geom)
 
     viak = evolve.propagate_through_kernel([0], r_eval, t_dst, psi_src, t_src, geom)
     measured = abs(direct - viak)
@@ -499,7 +496,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         return args.func(args, cfg)
     except (DomainError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ wall sits at eta = xi x / (2 pi).
 
 Every radial factor here comes from `spectral.modes`, the one place the
 dressed-mode factor is formed: an exact mode is a general state with a unit
-coefficient vector, and the kernel is modes(sigma, t) modes(sigma', t')^H.
+coefficient vector; the kernel is a projection at t' followed by `modes` at t.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .spectral import (
     TrapGeometry,
     _check_state_geom,
     _i_matrix,
+    _projection,
     _radial_wave,
     _zeros_cached,
     coeffs_from_eigenstate,
@@ -64,8 +65,8 @@ class RadialDensitySample:
 
 @dataclass(frozen=True)
 class FlightTimes:
-    """Scaled times at which the wall (T1) and the direct wave front (T2)
-    reach the observation radius."""
+    """Scaled times at which the wall (T1, at alpha-ratio 1: at ratio r it
+    is T1 / r) and the direct wave front (T2) reach the observation radius."""
     T1: float
     T2: float
 
@@ -73,22 +74,18 @@ class FlightTimes:
 # --------------------------------------------------------------------------
 # Wave functions
 
-def psi_exact(m: int, n: int, rho, phi, t: float, geom: TrapGeometry,
-              drop_moving_phase: bool = False):
+def psi_exact(m: int, n: int, rho, phi, t: float, geom: TrapGeometry):
     """Exact mode solution Psi_mn(rho, phi, t); zero on and outside the wall.
 
-    rho and phi broadcast together; scalars in give a scalar out.  The
-    `drop_moving_phase` switch omits the quadratic wall phase on purpose,
-    turning the exact solution into a wrong one for negative-control checks.
+    rho and phi broadcast together; scalars in give a scalar out.
     """
     if n < 1:
         raise DomainError("radial index must be >= 1")
     unit = SpectralState(m=m, alpha=geom.alpha, coeffs=np.eye(1, n, n - 1)[0])
-    return psi_general(unit, rho, phi, t, geom, drop_moving_phase)
+    return psi_general(unit, rho, phi, t, geom)
 
 
-def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry,
-                drop_moving_phase: bool = False):
+def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry):
     """Evolved wave for an arbitrary coefficient state; zero outside the wall."""
     _check_state_geom(state, geom)
     rho_b, phi_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(phi, float))
@@ -105,7 +102,7 @@ def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry,
         # the radial factor depends on rho alone, and sampled grids repeat
         # each radius over many angles: evaluate it once per radius
         radii, where = np.unique(sigma[inside], return_inverse=True)
-        rad = _radial_wave(state, radii, t, geom, drop_moving_phase)[where]
+        rad = _radial_wave(state, radii, t, geom)[where]
         out[inside] = rad * np.exp(1j * state.m * phi_b[inside]) / math.sqrt(2.0 * math.pi)
     return complex(out[0]) if scalar else out
 
@@ -171,9 +168,9 @@ def density_timeseries(m: int, n: int, alpha_ratio: float, eta_obs: float,
 
     Only expansion makes sense here (alpha_ratio > 0): the observation point
     starts outside the trap (rho_0 > a required) and the density is exactly
-    zero until the wall crosses it at T1 = (x/4 pi)(rho_0/a - 1).  The direct
-    flight of the initially confined wave arrives around
-    T2 = (x/4 pi)(rho_0/a + 1).
+    zero until the wall crosses it at T1 / alpha_ratio; the returned T1 =
+    (x/4 pi)(rho_0/a - 1) is that time at alpha-ratio 1.  The direct flight
+    of the initially confined wave arrives around T2 = (x/4 pi)(rho_0/a + 1).
     """
     if steps < 2:
         raise DomainError("steps must be >= 2")
@@ -258,44 +255,32 @@ def propagator(m_list, r, t: float, r_prime, t_prime: float, geom: TrapGeometry,
 
 
 def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
-                             geom: TrapGeometry, n_max: int = N_MAX_DEFAULT,
-                             n_phi: int = 64) -> complex:
+                             geom: TrapGeometry, n_max: int = N_MAX_DEFAULT) -> complex:
     """Apply the kernel to a wave at t': int K psi(rho', phi', t') rho' drho' dphi'.
 
     `psi_func(rho', phi')` evaluates the source wave (arrays in, array out).
-    The azimuthal integral uses the periodic trapezoid rule, exact once
-    n_phi exceeds twice the highest angular index present; the radial
-    integral is adaptive.
+    The periodic trapezoid rule on max(64, 2 max(m_list) + 1) angles, exact
+    for the frequencies 0 and 2m, splits off the part of each m (both angular
+    branches for m > 0, as in `propagator`); that part is projected onto the
+    modes at t' by adaptive quadrature and evaluated with `modes` at t.
     """
     rho, phi = r
-    L_p = geom.L(t_prime)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    dphi = 2.0 * math.pi / n_phi
-
     sig = rho / geom.L(t)
     if sig >= 1.0:
         return 0.0 + 0.0j
-    # target-side modes once per m; phi' enters analytically
-    target = {m: modes(m, [sig], t, geom, n_max)[0] for m in m_list}
+    n_phi = max(64, 2 * max(m_list) + 1)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    total = 0.0 + 0.0j
+    for m in m_list:
+        w = (1.0 if m == 0 else 2.0) * np.cos(m * (phi - phis)) / n_phi
 
-    def integrand(sp):
-        # sp: scaled source radius rho'/L'
-        vals = np.zeros(sp.shape, dtype=complex)
-        psi_grid = psi_func(L_p * sp[:, None], phis[None, :])  # (S, n_phi)
-        for m in m_list:
-            rad = np.conj(modes(m, sp, t_prime, geom, n_max)) @ target[m]
-            if m == 0:
-                ang = np.sum(psi_grid, axis=1) * dphi / (2.0 * math.pi)
-            else:
-                w = 2.0 * np.cos(m * (phi - phis))
-                ang = (psi_grid @ w) * dphi / (2.0 * math.pi)
-            vals += rad * ang
-        return vals * sp * L_p ** 2
+        def ang_m(rho_p):
+            return psi_func(rho_p[:, None], phis[None, :]) @ w
 
-    x_hi = max(float(_zeros_cached(m, n_max)[0][-1]) for m in m_list)
-    res = integrate(integrand, 0.0, 1.0,
-                    initial_panels=max(8, int(math.ceil((abs(geom.alpha) * geom.xi(t_prime) + 2 * x_hi) / math.pi))))
-    return complex(res.value)
+        f, panels = _projection(ang_m, m, t_prime, geom, n_max)
+        c = np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
+        total += modes(m, [sig], t, geom, n_max)[0] @ c
+    return complex(total)
 
 
 # --------------------------------------------------------------------------

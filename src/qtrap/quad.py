@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special import NumericError
+
 __all__ = ["QuadResult", "BudgetExceededError", "integrate", "gk15_panels"]
 
 # default accuracy target of `integrate`: max(ABS_TOL, REL_TOL * max|component|)
@@ -134,7 +136,8 @@ def integrate(f, a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = 
     both fine.
 
     Raises BudgetExceededError (carrying the best QuadResult) if the panel
-    budget is exhausted before the target is met.
+    budget is exhausted before the target is met, NumericError on a NaN or
+    infinite error estimate.
     """
     a, b = float(a), float(b)
     if not np.isfinite(a) or not np.isfinite(b):
@@ -154,6 +157,8 @@ def integrate(f, a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = 
         scale = float(np.max(np.abs(total))) if np.ndim(total) else abs(total)
         target = max(abs_tol, rel_tol * scale)
         total_err = float(err.sum())
+        if not np.isfinite(total_err):
+            raise NumericError(f"integrand is not finite: error estimate {total_err}")
         if total_err <= target:
             value = total if np.ndim(total) else complex(total) if np.iscomplexobj(kron) else float(total)
             return QuadResult(value=value, err_estimate=total_err, panels_used=used)

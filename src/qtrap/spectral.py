@@ -14,10 +14,11 @@ which for u != 0 equals (1 - 1/xi)/(4 alpha); the identity form is used so no
 branch at u = 0 is needed.  `modes` is the one place this mode factor is
 formed: it returns the radial factors of the modes n = 1..N_max as one
 (points x modes) matrix, and every wave function, density and kernel in
-`evolve` is built from it.  A general state is carried as coefficients c_n'
-over the dressed modes at t = 0; its projection b_n'(t) onto the moving
-instantaneous basis is a single matrix-vector product against the overlap
-matrix
+`evolve` is built from it; `_projection` takes a wave back onto them, so the
+kernel is the projection at t' followed by `modes` at t.  A general state is
+carried as coefficients c_n' over the dressed modes at t = 0; its projection
+b_n'(t) onto the moving instantaneous basis is a single matrix-vector product
+against the overlap matrix
 
     I_{m n' n''}(t, alpha) = int_0^1 s exp(-i alpha xi s^2)
                              J_m(x_mn' s) J_m(x_mn'' s) ds.
@@ -123,12 +124,14 @@ class TrapGeometry:
     def xi(self, t):
         """Expansion factor L(t)/a; a float for one time, an array for many.
 
-        Every time must be nonnegative and keep xi >= XI_MIN.
+        Every time must be finite and nonnegative and keep xi >= XI_MIN.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise DomainError(f"time must be nonnegative, got {t.min()}")
         val = 1.0 + self.u * t / self.a
+        if not np.all(np.isfinite(val)):
+            raise DomainError("time must be finite and give a finite expansion factor")
         if np.any(val < XI_MIN):
             raise DomainError(
                 f"wall compressed to xi = {val.min():.4g} < {XI_MIN}; beyond supported range"
@@ -376,9 +379,7 @@ def coeffs_from_initial(psi0, m: int, geom: TrapGeometry,
     index m, normalized as int_0^a |psi0|^2 rho drho = 1; it must vanish at
     the wall.  Norm deficits above 1e-4 raise TruncationError.
     """
-    alpha = geom.alpha
     a = geom.a
-    zeros, absj = _zeros_cached(m, n_max)
 
     def norm_f(s):
         return s * np.abs(np.asarray(psi0(a * s), dtype=complex)) ** 2
@@ -387,16 +388,10 @@ def coeffs_from_initial(psi0, m: int, geom: TrapGeometry,
     if abs(norm - 1.0) > 1e-8:
         raise DomainError(f"initial state is not normalized: got {norm:.12g}")
 
-    def f(s):
-        j = bessel_j(m, s[:, None] * zeros[None, :])
-        w = s * np.exp(-1j * alpha * s * s) * np.asarray(psi0(a * s), dtype=complex)
-        return w[:, None] * j
-
-    res = integrate(f, 0.0, 1.0,
-                    initial_panels=_osc_panels(abs(alpha) + float(zeros[-1])))
-    coeffs = math.sqrt(2.0) * a * np.asarray(res.value) / absj
+    f, panels = _projection(psi0, m, 0.0, geom, n_max)
+    coeffs = np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
     deficit = _deficit_guard(coeffs, "the initial state")
-    return SpectralState(m=m, alpha=alpha, coeffs=coeffs, norm_deficit=deficit)
+    return SpectralState(m=m, alpha=geom.alpha, coeffs=coeffs, norm_deficit=deficit)
 
 
 def _check_state_geom(state: SpectralState, geom: TrapGeometry):
@@ -454,15 +449,32 @@ def modes(m: int, sigma: np.ndarray, t, geom: TrapGeometry, n_max: int,
 
 
 def _radial_wave(state: SpectralState, sigma: np.ndarray, t,
-                 geom: TrapGeometry, drop_moving_phase: bool = False,
-                 bessel_block: np.ndarray | None = None) -> np.ndarray:
+                 geom: TrapGeometry) -> np.ndarray:
     """Radial factor of the evolved state at scaled radius sigma = rho/L(t).
 
-    Normalized so that int_0^1 |R|^2 L^2 sigma dsigma = sum |c|^2; the
-    arguments are those of `modes`.
+    Normalized so that int_0^1 |R|^2 L^2 sigma dsigma = sum |c|^2; sigma and
+    t are as in `modes`.
     """
-    return modes(state.m, sigma, t, geom, state.n_max, drop_moving_phase,
-                 bessel_block) @ state.coeffs
+    return modes(state.m, sigma, t, geom, state.n_max) @ state.coeffs
+
+
+def _projection(radial, m: int, t: float, geom: TrapGeometry, n_max: int):
+    """Integrand and initial panel count of the coefficients of the radial
+    wave `radial(rho)` at time t over the dressed modes at t,
+
+        c_n = int_0^1 conj(modes(sigma, t))_n R(L sigma) L^2 sigma dsigma.
+
+    They are constants of the motion, so `modes` at a later time evolves the
+    wave.  The caller integrates, so the quadrature counts in its own layer.
+    """
+    L = geom.L(t)
+    x_hi = float(_zeros_cached(m, n_max)[0][-1])
+
+    def f(s):
+        wave = np.asarray(radial(L * s), dtype=complex)
+        return np.conj(modes(m, s, t, geom, n_max)) * (wave * L * L * s)[:, None]
+
+    return f, _osc_panels(abs(geom.alpha) * geom.xi(t) + x_hi)
 
 
 def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
@@ -484,7 +496,7 @@ def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
 
     def f(sigma):
         j = bessel_j(state.m, sigma[:, None] * zeros[None, :])
-        wave = _radial_wave(state, sigma, t, geom, drop_moving_phase, bessel_block=j)
+        wave = modes(state.m, sigma, t, geom, state.n_max, drop_moving_phase, j) @ state.coeffs
         return (sigma * wave)[:, None] * j
 
     res = integrate(f, 0.0, 1.0,

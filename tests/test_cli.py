@@ -135,6 +135,16 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["a", "u", "hbar", "mu"])
+def test_config_units_rejected_outside_energy(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 3.0\n")
+    rc = main(["density-r", "--m", "0", "--n", "1", "--grid", "3", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.out == "" and repr(key) in captured.err
+
+
 def test_config_rejects_missing_file(capsys):
     assert main(["zeros", "--config", "/nonexistent.cfg"]) == EXIT_USAGE
 

@@ -69,15 +69,6 @@ def test_azimuthal_dependence():
     assert_allclose(b, a * np.exp(1j * math.pi), rtol=1e-12)
 
 
-def test_drop_moving_phase_changes_phase_not_modulus():
-    geom = TrapGeometry.from_alpha(2.0)
-    t = 0.2
-    full = psi_exact(0, 1, 0.5, 0.0, t, geom)
-    bare = psi_exact(0, 1, 0.5, 0.0, t, geom, drop_moving_phase=True)
-    assert abs(abs(full) - abs(bare)) < 1e-14
-    assert abs(full - bare) > 1e-3
-
-
 def test_general_state_matches_mode_in_static_trap():
     geom = TrapGeometry()
     state = coeffs_from_eigenstate(1, 2, geom, n_max=12)
@@ -141,6 +132,42 @@ def test_kernel_advances_exact_mode():
     via_kernel = propagate_through_kernel([0], target, t_dst, src, t_src, geom)
     direct = psi_exact(0, 1, target[0], target[1], t_dst, geom)
     assert abs(via_kernel - direct) < 1e-8
+
+
+def test_kernel_resolves_high_angular_index():
+    # 2m + 1 = 65 angles at m = 32: 64 would alias the frequency 2m onto the
+    # constant term and double the result
+    geom = TrapGeometry.from_alpha(1.2)
+    t_src, t_dst = 0.1, 0.4
+    target = (0.85 * geom.L(t_dst), 0.0)  # near the peak of the n = 1 mode
+
+    def src(rho, phi):
+        return psi_exact(32, 1, rho, phi, t_src, geom)
+
+    via_kernel = propagate_through_kernel([32], target, t_dst, src, t_src, geom, n_max=20)
+    direct = psi_exact(32, 1, target[0], target[1], t_dst, geom)
+    assert abs(direct) > 0.1
+    assert abs(via_kernel - direct) < 1e-10
+
+
+def test_kernel_sums_angular_indices():
+    geom = TrapGeometry.from_alpha(1.2)
+    t_src, t_dst = 0.1, 0.4
+    target = (0.6, 0.9)
+
+    def wave(rho, phi, t):
+        return (psi_exact(0, 1, rho, phi, t, geom)
+                + psi_exact(2, 1, rho, phi, t, geom)) / math.sqrt(2.0)
+
+    def src(rho, phi):
+        return wave(rho, phi, t_src)
+
+    via_kernel = propagate_through_kernel([0, 2], target, t_dst, src, t_src, geom, n_max=30)
+    direct = wave(target[0], target[1], t_dst)
+    assert abs(via_kernel - direct) < 1e-10
+    # the m = 2 part is not carried by the m = 0 kernel alone
+    only_m0 = propagate_through_kernel([0], target, t_dst, src, t_src, geom, n_max=30)
+    assert abs(only_m0 - direct) > 1e-2
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from qtrap import quad
 from qtrap.quad import BudgetExceededError, QuadResult, integrate
-from qtrap.special import bessel_j
+from qtrap.special import NumericError, bessel_j
 
 
 def test_polynomial_single_panel():
@@ -115,6 +115,13 @@ def test_chunked_evaluation_matches_unchunked(monkeypatch):
     monkeypatch.setattr(quad, "_CHUNK_ELEMS", 200)
     tiny = integrate(f, 0.0, 5.0, initial_panels=32)
     assert_allclose(tiny.value, full.value, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_integrand_raises_numeric_error():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="not finite"):
+            integrate(lambda s: np.full(s.size, bad), 0.0, 1.0)
 
 
 def test_bad_integrand_shape_rejected():

@@ -61,6 +61,18 @@ def test_geometry_domain_errors():
     contracting = TrapGeometry(a=1.0, u=-1.0)
     with pytest.raises(DomainError):
         contracting.xi(0.999)  # wall collapsed
+    expanding = TrapGeometry(a=1.0, u=1.0)
+    for bad in (math.nan, math.inf, np.array([0.1, math.nan])):
+        with pytest.raises(DomainError, match="finite"):
+            expanding.xi(bad)
+    with pytest.raises(DomainError, match="finite"):
+        expanding.L(math.inf)
+    with pytest.raises(DomainError, match="finite"):
+        expanding.tau(math.nan)
+    # a denormal wall speed reaches xi = 2 only at t = inf
+    crawling = TrapGeometry.from_alpha(5e-324)
+    with pytest.raises(DomainError, match="finite"):
+        crawling.tau(1.0 / crawling.u)
 
 
 def test_geometry_accepts_time_arrays():
@@ -288,6 +300,16 @@ def test_modes_match_single_mode_formula(m, drop):
         want = np.exp(1j * arg) * (math.sqrt(2.0) / (L * absj[n - 1])) * bessel_j(m, x * sigma)
         # phases up to ~100 rad are summed in another order: last digits differ
         assert_allclose(got[:, n - 1], want, rtol=1e-12, atol=1e-13)
+
+
+def test_drop_moving_phase_changes_phase_not_modulus():
+    geom = TrapGeometry.from_alpha(2.0)
+    t = 0.2
+    sigma = np.array([0.5 / geom.L(t)])
+    full = spectral.modes(0, sigma, t, geom, 1)[0, 0]
+    bare = spectral.modes(0, sigma, t, geom, 1, drop_moving_phase=True)[0, 0]
+    assert abs(abs(full) - abs(bare)) < 1e-14
+    assert abs(full - bare) > 1e-3
 
 
 def test_modes_one_time_per_point_matches_scalar_calls():
