@@ -81,9 +81,13 @@ def _csv(meta: list[tuple[str, object]], header: list[str],
 # --------------------------------------------------------------------------
 # Config handling
 
-_UNIT_KEYS = {"a", "u", "hbar", "mu"}
-_CONFIG_KEYS = {"m", "n", "alpha_ratio", "xi", "t_max", "eta_obs", "nmax",
-                "grid", "out"} | _UNIT_KEYS
+# the config keys each subcommand reads; only `energy` reads the units a, u, hbar, mu
+_COMMAND_KEYS = {
+    "zeros": {"m", "nmax", "out"}, "moments": {"m", "nmax", "out"}, "verify": {"out"},
+    "energy": {"m", "n", "alpha_ratio", "xi", "grid", "nmax", "out", "a", "u", "hbar", "mu"},
+    "density-r": {"m", "n", "alpha_ratio", "xi", "grid", "out"},
+    "density-t": {"m", "n", "alpha_ratio", "t_max", "grid", "eta_obs", "out"},
+}
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -100,10 +104,9 @@ def _load_config(path: str | None, command: str) -> dict:
                     raise DomainError(f"{path}:{lineno}: expected key=value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in _CONFIG_KEYS:
-                    raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in _UNIT_KEYS and command != "energy":
-                    raise DomainError(f"{path}:{lineno}: only `energy` reads key {key!r}")
+                if key not in _COMMAND_KEYS[command]:
+                    raise DomainError(f"{path}:{lineno}: unknown key {key!r} for `{command}`, "
+                                      f"which reads {sorted(_COMMAND_KEYS[command])}")
                 cfg[key] = val
     except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
@@ -249,12 +252,24 @@ def cmd_density_t(args, cfg) -> int:
 # --------------------------------------------------------------------------
 # Verification battery
 
+def _closed_form_gaps(m: int) -> list[float]:
+    """Largest |zero-only block - quadrature table| at n_max 20 for A1, A3, B2
+    and the kinetic form m^2 A^{-1} - B0 - C1, in that order."""
+    tab = spectral.moment_tables(m, 20)
+    absj = spectral._zeros_cached(m, 20)[1]
+    refs = (tab.A1, tab.A3, tab.B2, (0.0 if m == 0 else m * m * tab.Aneg1) - tab.B0 - tab.C1)
+    return [float(np.max(np.abs(block * np.outer(absj, absj) - ref)))
+            for block, ref in zip(spectral._zero_blocks(m, 20), refs)]
+
+
 def _check_orthonormality():
-    worst = 0.0
-    for m in (0, 3):
-        tab = spectral.moment_tables(m, 20)
-        _, absj = spectral._zeros_cached(m, 20)
-        worst = max(worst, float(np.max(np.abs(tab.A1 - np.diag(absj ** 2 / 2.0)))))
+    worst = max(_closed_form_gaps(m)[0] for m in (0, 3))  # A1 = diag(J^2 / 2)
+    return worst <= 1e-9, worst, 1e-9
+
+
+def _check_operator_closed_forms():
+    # independent route for every block behind the q^2, p^2 and H matrices
+    worst = max(max(_closed_form_gaps(m)) for m in (0, 3))
     return worst <= 1e-9, worst, 1e-9
 
 
@@ -295,22 +310,16 @@ def _check_pde():
 
 def _check_heisenberg():
     geom = TrapGeometry.from_alpha(0.7)
-    worst = math.inf
-    for (m, n) in ((0, 1), (1, 2), (2, 1)):
-        for xi_t in (1.0, 1.8):
-            t = (xi_t - 1.0) / geom.u
-            _, _, prod = spectral.uncertainties(m, n, t, geom)
-            worst = min(worst, prod / (0.5 * geom.hbar))
+    worst = min(spectral.uncertainties(m, n, (xi_t - 1.0) / geom.u, geom)[2] / (0.5 * geom.hbar)
+                for (m, n) in ((0, 1), (1, 2), (2, 1)) for xi_t in (1.0, 1.8))
     limit = 1.0 - 1e-12
     return worst >= limit, worst, limit
 
 
 def _check_stationary_factor():
     geom = TrapGeometry()
-    worst = math.inf
-    for (m, n) in ((0, 1), (1, 1), (5, 2)):
-        _, _, prod = spectral.uncertainties(m, n, 0.0, geom)
-        worst = min(worst, prod / (0.5 * geom.hbar))
+    worst = min(spectral.uncertainties(m, n, 0.0, geom)[2] / (0.5 * geom.hbar)
+                for (m, n) in ((0, 1), (1, 1), (5, 2)))
     return worst > 1.0, worst, 1.0
 
 
@@ -372,11 +381,8 @@ def _check_energy_paths():
 
 def _check_h_convention():
     geom = TrapGeometry()
-    worst = 0.0
-    for (m, n) in ((0, 1), (0, 3), (2, 2)):
-        h = spectral.matrix_element("H", m, n, n, 0.0, geom)
-        e = geom.energy(m, n)
-        worst = max(worst, abs(h.real / e - 1.0))
+    worst = max(abs(spectral.matrix_element("H", m, n, n, 0.0, geom).real / geom.energy(m, n) - 1.0)
+                for (m, n) in ((0, 1), (0, 3), (2, 2)))
     return worst <= 1e-10, worst, 1e-10
 
 
@@ -391,6 +397,7 @@ def _check_truncation_guard():
 
 _CHECKS = [
     ("orthonormality", _check_orthonormality),
+    ("operator_closed_forms", _check_operator_closed_forms),
     ("unitarity", _check_unitarity),
     ("two_path_b", _make_two_path(False)),
     ("pde_convergence", _check_pde),

@@ -229,6 +229,14 @@ def visibility(samples: list[RadialDensitySample], flight: FlightTimes) -> float
 # --------------------------------------------------------------------------
 # Propagator
 
+def _check_m_list(m_list) -> list:
+    """The kernels sum over m_list: it needs distinct indices >= 0, at least one."""
+    m_list = list(m_list)
+    if not m_list or min(m_list) < 0 or len(set(m_list)) < len(m_list):
+        raise DomainError(f"m_list needs distinct angular indices >= 0, got {m_list}")
+    return m_list
+
+
 def propagator(m_list, r, t: float, r_prime, t_prime: float, geom: TrapGeometry,
                n_max: int = N_MAX_DEFAULT) -> complex:
     """Two-time kernel K(r, t; r', t') summed over the given angular indices.
@@ -237,6 +245,7 @@ def propagator(m_list, r, t: float, r_prime, t_prime: float, geom: TrapGeometry,
     branches e^{+-i m phi}, so its term enters with 2 cos(m (phi - phi'));
     m = 0 enters once.  The radial sum runs over n = 1..n_max.
     """
+    m_list = _check_m_list(m_list)
     rho, phi = r
     rho_p, phi_p = r_prime
     L, L_p = geom.L(t), geom.L(t_prime)
@@ -244,8 +253,6 @@ def propagator(m_list, r, t: float, r_prime, t_prime: float, geom: TrapGeometry,
         return 0.0 + 0.0j
     total = 0.0 + 0.0j
     for m in m_list:
-        if m < 0:
-            raise DomainError("angular indices in m_list must be >= 0")
         # radial kernel modes(sigma, t) modes(sigma', t')^H
         rad = modes(m, [rho / L], t, geom, n_max)[0] \
             @ np.conj(modes(m, [rho_p / L_p], t_prime, geom, n_max)[0])
@@ -264,6 +271,7 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
     branches for m > 0, as in `propagator`); that part is projected onto the
     modes at t' by adaptive quadrature and evaluated with `modes` at t.
     """
+    m_list = _check_m_list(m_list)
     rho, phi = r
     sig = rho / geom.L(t)
     if sig >= 1.0:

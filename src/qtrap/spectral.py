@@ -32,11 +32,11 @@ or the phase outruns the grid.  The real-space route `b_coeffs_direct`, which
 the two-path check holds against `b_coeffs`, never reads the grid: it
 integrates adaptively on its own panel layout.
 
-Operator matrix elements in that moving basis reduce to six one-dimensional
-Bessel moment integrals, which are tabulated once per (m, N_max) and cached.
-Each is a weighted product of the Bessel block and its derivative on a
-fixed GK15 rule of its own, under the same error estimate and fallback; see
-`moment_tables`.
+Operator matrix elements in that moving basis are elementary in the zeros
+alone (`_zero_blocks`).  The six Bessel moment integrals of `moment_tables`,
+on a fixed GK15 rule of their own under the same error estimate and
+fallback, are the quadrature reference these and the oracle's closed forms
+are held against; no operator reads them.
 """
 
 from __future__ import annotations
@@ -509,9 +509,8 @@ def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Radial moment integrals over scaled radius s in (0, 1).
-
-    With g_n(s) = J_m(x_mn s):
+    """Radial moment integrals over s in (0, 1) by quadrature: the reference
+    closed forms are checked against; no operator reads them.  With g_n(s) = J_m(x_mn s):
 
         Ak[i, j] = int s^k g_{i+1} g_{j+1} ds      (k = 3, 1, -1)
         Bk[i, j] = int s^k g_{i+1} g'_{j+1} ds     (k = 0, 2)
@@ -537,12 +536,6 @@ class MomentTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def kinetic_diag(self, n: int) -> float:
-        """m^2 A^{-1} - B0 - C1 at (n, n): the radial Dirichlet form, > 0."""
-        i = n - 1
-        msq = 0.0 if self.m == 0 else self.m ** 2 * self.Aneg1[i, i]
-        return msq - self.B0[i, i] - self.C1[i, i]
-
 
 _TABLE_CACHE: dict[tuple[int, int], MomentTable] = {}
 
@@ -555,8 +548,7 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
     panels), g' from J_{m-1} and the g block itself, and each table is one
     product g^T diag(w s^k) g or g^T diag(w s^k) g'.  A table whose summed per-panel K15 - G7 estimate
     misses `integrate`'s default target is rebuilt by adaptive `integrate`.
-    The rule is the tables' own, not the overlap grid `_bessel_grid`, so the
-    two routes of `energy_ratio_paths` do not share their numerics.
+    The rule is the tables' own, not the overlap grid `_bessel_grid`.
     """
     key = (m, n_max)
     hit = _TABLE_CACHE.get(key)
@@ -619,74 +611,71 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
 # --------------------------------------------------------------------------
 # Matrix elements and expectation values
 
-def _require_tables(m: int, n_hi: int, tables: MomentTable | None) -> MomentTable:
-    if tables is None:
-        return moment_tables(m, max(n_hi, N_MAX_DEFAULT))
-    if tables.m != m:
-        raise DomainError(f"tables are for m={tables.m}, requested m={m}")
-    if tables.n_max < n_hi:
-        raise DomainError(f"tables hold n <= {tables.n_max}, requested {n_hi}")
-    return tables
+def _zero_blocks(m: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(A1, A3, B2, K) / (|J_{m+1}(x_i)| |J_{m+1}(x_j)|) from the zeros x_i alone.
+
+    K = m^2 A^{-1} - B0 - C1 is the radial Dirichlet form.  By the Lommel
+    integrals (Watson, Theory of Bessel Functions, 5.11), with s_i = (-1)^(i+1)
+    the sign of J_{m+1}(x_i): A1 = I/2, K = A1 diag(x^2), B2 = -A1 +
+    ((x_j^2 - x_i^2)/4) A3, and A3 = 4 x_i x_j s_i s_j / (x_i^2 - x_j^2)^2 off
+    the diagonal, (x^2 + 2 (m^2 - 1)) / (6 x^2) on it.
+    """
+    x = _zeros_cached(m, n_max)[0]
+    xsq = x * x
+    sx = (-1.0) ** np.arange(n_max) * x
+    gap = np.subtract.outer(xsq, xsq)
+    np.fill_diagonal(gap, 1.0)
+    a3 = 4.0 * np.outer(sx, sx) / gap ** 2
+    np.fill_diagonal(a3, (xsq + 2.0 * (m * m - 1)) / (6.0 * xsq))
+    np.fill_diagonal(gap, 0.0)
+    a1 = 0.5 * np.eye(n_max)
+    return a1, a3, -a1 - 0.25 * gap * a3, a1 * xsq
 
 
 def _op_matrix(op_kind: str, m: int, t: float, geom: TrapGeometry,
-               tables: MomentTable) -> np.ndarray:
+               n_max: int) -> np.ndarray:
     """Full operator matrix over the moving basis, indices [n'-1, n-1]."""
     if op_kind not in OP_KINDS:
         raise DomainError(f"unknown operator {op_kind!r}; expected one of {OP_KINDS}")
-    n_max = tables.n_max
-    zeros, absj = _zeros_cached(m, n_max)
     if op_kind in ("q0", "p0"):
         # odd azimuthal integrand: vanishes identically between equal-m states
         return np.zeros((n_max, n_max), dtype=complex)
 
-    xi_t = geom.xi(t)
-    alpha = geom.alpha
-    tau = geom.tau(t)
-    phase = np.exp(1j * np.subtract.outer(zeros ** 2, zeros ** 2) * tau)
-    jj = np.outer(absj, absj)
-
+    zeros, _ = _zeros_cached(m, n_max)
+    xi_t, alpha = geom.xi(t), geom.alpha
+    phase = np.exp(1j * np.subtract.outer(zeros ** 2, zeros ** 2) * geom.tau(t))
+    a1, a3, b2, kinetic = _zero_blocks(m, n_max)
     if op_kind == "q0sq":
-        return phase * (geom.a * xi_t) ** 2 * 2.0 * math.pi * tables.A3 / jj
+        return phase * (geom.a * xi_t) ** 2 * 2.0 * math.pi * a3
 
-    msq_aneg1 = 0.0 if m == 0 else m * m * tables.Aneg1
-    radial = (msq_aneg1 - tables.B0 - tables.C1) / xi_t ** 2
-    bracket = (
-        4.0 * alpha ** 2 * tables.A3
-        + radial
-        - 1j * (4.0 * alpha / xi_t) * (tables.A1 + tables.B2)
-    )
-    p0sq = phase * (geom.hbar / geom.a) ** 2 * 2.0 * math.pi / jj * bracket
+    bracket = 4.0 * alpha ** 2 * a3 + kinetic / xi_t ** 2 - 1j * (4.0 * alpha / xi_t) * (a1 + b2)
+    p0sq = phase * (geom.hbar / geom.a) ** 2 * 2.0 * math.pi * bracket
     if op_kind == "p0sq":
         return p0sq
     return p0sq / (2.0 * math.pi * geom.mu)  # H
 
 
 def matrix_element(op_kind: str, m: int, n_row: int, n_col: int, t: float,
-                   geom: TrapGeometry, tables: MomentTable | None = None) -> complex:
+                   geom: TrapGeometry) -> complex:
     """Single matrix element <n_row| op |n_col> in the moving basis at time t."""
     if n_row < 1 or n_col < 1:
         raise DomainError("mode indices are 1-based and must be >= 1")
-    tables = _require_tables(m, max(n_row, n_col), tables)
-    return complex(_op_matrix(op_kind, m, t, geom, tables)[n_row - 1, n_col - 1])
+    op = _op_matrix(op_kind, m, t, geom, max(n_row, n_col))
+    return complex(op[n_row - 1, n_col - 1])
 
 
 _IMAG_RESIDUAL = 1e-10
 
 
-def expectation(op_kind: str, state: SpectralState, t: float, geom: TrapGeometry,
-                tables: MomentTable | None = None) -> float:
+def expectation(op_kind: str, state: SpectralState, t: float, geom: TrapGeometry) -> float:
     """<op>(t) in the evolved state; Hermitian operators only, result real.
 
     The mode coefficients c are constants of the motion, so the sandwich is
     c^dagger O(t) c with all time dependence inside the matrix elements.
     """
     _check_state_geom(state, geom)
-    tables = _require_tables(state.m, state.n_max, tables)
-    if tables.n_max != state.n_max:
-        tables = moment_tables(state.m, state.n_max)
     c = state.coeffs
-    op = _op_matrix(op_kind, state.m, t, geom, tables)
+    op = _op_matrix(op_kind, state.m, t, geom, state.n_max)
     val = complex(np.conj(c) @ op @ c)
     if abs(val.imag) > _IMAG_RESIDUAL * max(1.0, abs(val.real)):
         raise NumericError(
@@ -700,26 +689,22 @@ def uncertainties(m: int, n: int, t: float, geom: TrapGeometry,
     """(dq, dp, dq*dp) for the exact mode (m, n) at time t.
 
     First moments of position and momentum vanish by symmetry, so the
-    spreads come straight from the diagonal second moments:
+    spreads are the square roots of the diagonal q^2 and p^2 elements:
 
-        dq = a xi sqrt(2 pi A3_nn) / |J_{m+1}(x_mn)|
+        dq = a xi sqrt(2 pi A3_nn / J^2)
         dp = (hbar/a) sqrt((2 pi / J^2)(4 alpha^2 A3_nn + K_nn / xi^2))
 
-    with K_nn the radial Dirichlet form.  dq grows exactly like xi while the
-    momentum spread mixes the drift term 4 alpha^2 A3 with the shrinking
-    internal term K/xi^2.
+    with J = J_{m+1}(x_mn) and K_nn the radial Dirichlet form.  dq grows
+    exactly like xi while the momentum spread mixes the drift term
+    4 alpha^2 A3 with the shrinking internal term K/xi^2.  `tables`, if
+    given, must be for angular index m and hold n; nothing is read from it.
     """
-    tables = _require_tables(m, n, tables)
-    i = n - 1
-    zeros, absj = _zeros_cached(m, n)
-    xi_t = geom.xi(t)
-    a3 = tables.A3[i, i]
-    k = tables.kinetic_diag(n)
-    j2 = absj[i] ** 2
-    dq = geom.a * xi_t * math.sqrt(2.0 * math.pi * a3) / absj[i]
-    dp = (geom.hbar / geom.a) * math.sqrt(
-        (2.0 * math.pi / j2) * (4.0 * geom.alpha ** 2 * a3 + k / xi_t ** 2)
-    )
+    if tables is not None and (tables.m != m or tables.n_max < n):
+        raise DomainError(f"tables hold m={tables.m}, n <= {tables.n_max}; asked m={m}, n={n}")
+    if n < 1:
+        raise DomainError("radial index must be >= 1")
+    dq, dp = (math.sqrt(_op_matrix(kind, m, t, geom, n)[n - 1, n - 1].real)
+              for kind in ("q0sq", "p0sq"))
     return dq, dp, dq * dp
 
 
@@ -739,9 +724,11 @@ def energy_ratio_paths(m: int, n: int, t: float, geom: TrapGeometry,
         ratio = (1/xi^2) sum_n' (x_n'/J_n')^2 |I_{n n'}(t)|^2
                 / sum_n' (x_n'/J_n')^2 |I_{n n'}(0)|^2.
 
-    Route 2 is the closed diagonal form
+    Route 2 is the closed diagonal form H_nn(t) / H_nn(0),
 
-        ratio = (4 alpha^2 A3_nn + K_nn / xi^2) / (4 alpha^2 A3_nn + K_nn).
+        ratio = (4 alpha^2 A3_nn + K_nn / xi^2) / (4 alpha^2 A3_nn + K_nn),
+
+    on the zeros alone (`_zero_blocks`), so the routes share no numerics.
     """
     if n < 1 or n > n_max:
         raise DomainError(f"need 1 <= n <= n_max, got n={n}, n_max={n_max}")
@@ -753,12 +740,8 @@ def energy_ratio_paths(m: int, n: int, t: float, geom: TrapGeometry,
     row_0 = _i_matrix(m, 1.0, alpha, n_max)[n - 1]
     isum = float(np.sum(w * np.abs(row_t) ** 2) / np.sum(w * np.abs(row_0) ** 2) / xi_t ** 2)
 
-    tables = moment_tables(m, n_max)
-    a3 = tables.A3[n - 1, n - 1]
-    k = tables.kinetic_diag(n)
-    drift = 4.0 * alpha ** 2 * a3
-    closed = float((drift + k / xi_t ** 2) / (drift + k))
-    return isum, closed
+    h_t, h_0 = (_op_matrix("H", m, s, geom, n)[n - 1, n - 1].real for s in (t, 0.0))
+    return isum, float(h_t / h_0)
 
 
 def energy_ratio(m: int, n: int, t: float, geom: TrapGeometry,

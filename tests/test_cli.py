@@ -145,6 +145,17 @@ def test_config_units_rejected_outside_energy(tmp_path, capsys, key):
     assert captured.out == "" and repr(key) in captured.err
 
 
+@pytest.mark.parametrize("command, key", [("zeros", "t_max"), ("zeros", "xi"),
+                                          ("moments", "n"), ("verify", "m")])
+def test_config_rejects_keys_the_command_does_not_read(tmp_path, capsys, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 3\n")
+    rc = main([command, "--nmax", "2", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.out == "" and repr(key) in captured.err
+
+
 def test_config_rejects_missing_file(capsys):
     assert main(["zeros", "--config", "/nonexistent.cfg"]) == EXIT_USAGE
 
@@ -230,6 +241,15 @@ def test_verify_drop_phase_negative_control(monkeypatch, capsys):
     assert report["two_path_b"]["pass"] is False
     assert report["two_path_b"]["measured"] > 1e-3
     assert report["other"]["pass"] is True
+
+
+def test_verify_checks_build_no_full_size_tables(monkeypatch):
+    # the operator checks read the zeros alone; the quadrature tables are
+    # built only at the sizes the orthonormality and oracle checks compare
+    monkeypatch.setattr(spectral, "_TABLE_CACHE", {})
+    for name, fn in cli._CHECKS:
+        assert fn()[0], name
+    assert [key for key in spectral._TABLE_CACHE if key[1] >= 60] == []
 
 
 def test_verify_out_file(monkeypatch, tmp_path):

@@ -121,6 +121,24 @@ def test_propagator_rejects_negative_m():
         propagator([0, -1], (0.3, 0.0), 0.1, (0.2, 0.0), 0.0, geom)
 
 
+@pytest.mark.parametrize("m_list", [[1, 1], []])
+def test_propagator_rejects_repeated_or_empty_m_list(m_list):
+    geom = TrapGeometry.from_alpha(1.2)
+    with pytest.raises(DomainError):
+        propagator(m_list, (0.3, 0.0), 0.1, (0.2, 0.0), 0.0, geom)
+
+
+@pytest.mark.parametrize("m_list", [[1, 1], []])
+def test_kernel_rejects_repeated_or_empty_m_list(m_list):
+    geom = TrapGeometry.from_alpha(1.2)
+
+    def src(rho, phi):
+        return psi_exact(1, 1, rho, phi, 0.0, geom)
+
+    with pytest.raises(DomainError):
+        propagate_through_kernel(m_list, (0.5, 0.1), 0.3, src, 0.0, geom)
+
+
 def test_kernel_advances_exact_mode():
     geom = TrapGeometry.from_alpha(1.2)
     t_src, t_dst = 0.0, 0.4

@@ -389,12 +389,16 @@ def test_gradient_moment_elementary_form(m):
 
 
 def test_kinetic_diag_closed_form():
+    # the radial Dirichlet form m^2 A^{-1} - B0 - C1 of the quadrature tables
+    # is x^2 J_{m+1}(x)^2 / 2 on the diagonal, as the zero-only block says
     for m in (0, 2):
         tab = moment_tables(m, 8)
         zeros, absj = _zeros(m, 8)
-        for n in range(1, 9):
-            want = zeros[n - 1] ** 2 * absj[n - 1] ** 2 / 2.0
-            assert_allclose(tab.kinetic_diag(n), want, rtol=1e-10)
+        _, _, _, kinetic = spectral._zero_blocks(m, 8)
+        msq_aneg1 = 0.0 if m == 0 else m * m * tab.Aneg1
+        ref = np.diag(msq_aneg1 - tab.B0 - tab.C1)
+        assert_allclose(np.diag(kinetic) * absj ** 2, ref, rtol=1e-10)
+        assert_allclose(np.diag(kinetic), zeros ** 2 / 2.0, rtol=1e-15)
 
 
 def test_gradient_moment_against_direct_quadrature():
@@ -411,37 +415,57 @@ def test_gradient_moment_against_direct_quadrature():
     assert_allclose(tab.B0[n - 1, n - 1] + tab.C1[n - 1, n - 1], ref, rtol=1e-11)
 
 
-_MOMENTS = (("A3", 3, False), ("A1", 1, False), ("Aneg1", -1, False),
-            ("B0", 0, True), ("B2", 2, True))
+_MOMENTS = (("A3", 3, 0), ("A1", 1, 0), ("Aneg1", -1, 0), ("B0", 0, 1), ("B2", 2, 1))
 
 
-def _adaptive_moment(m, n_max, k, derivative):
-    """int s^k g_i g_j ds (or g_i g'_j) by adaptive quadrature from the
-    adaptive route's initial layout."""
+def _adaptive_moment(m, n_max, k, derivatives):
+    """int s^k g_i g_j ds, with g'_j on the right for one derivative and
+    g'_i g'_j for two, by adaptive quadrature from the adaptive route's
+    initial layout."""
     from qtrap.quad import integrate
     zeros, _ = _zeros(m, n_max)
 
     def f(s):
         sx = s[:, None] * zeros[None, :]
         j = bessel_j(m, sx)
-        right = zeros[None, :] * bessel_j_prime(m, sx) if derivative else j
-        return (s ** k)[:, None, None] * j[:, :, None] * right[:, None, :]
+        jp = zeros[None, :] * bessel_j_prime(m, sx) if derivatives else j
+        left = jp if derivatives == 2 else j
+        return (s ** k)[:, None, None] * left[:, :, None] * jp[:, None, :]
 
     panels = spectral._osc_panels(2.0 * zeros[-1])
     return integrate(f, 0.0, 1.0, initial_panels=panels).value
 
 
-@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_fixed_rule_moment_tables_match_adaptive(m, monkeypatch):
     monkeypatch.setattr(spectral, "_TABLE_CACHE", {})
     calls = _spy_integrate(monkeypatch)
     tab = moment_tables(m, 60)
     assert calls == []  # every table met its target on the fixed rule
-    for name, k, derivative in _MOMENTS:
+    ref = {}
+    for name, k, derivatives in _MOMENTS:
         if m == 0 and name == "Aneg1":
             continue  # divergent at m = 0, stored as NaN
-        ref = _adaptive_moment(m, 60, k, derivative)
-        assert np.max(np.abs(getattr(tab, name) - ref)) < 1e-12, name
+        ref[name] = _adaptive_moment(m, 60, k, derivatives)
+        assert np.max(np.abs(getattr(tab, name) - ref[name])) < 1e-12, name
+    # the zero-only blocks, undone from their |J_{m+1}| normalisation; the
+    # kinetic reference is the Dirichlet form int s g'_i g'_j + m^2 A^{-1}
+    _, absj = _zeros(m, 60)
+    jj = np.outer(absj, absj)
+    a1, a3, b2, kinetic = spectral._zero_blocks(m, 60)
+    for name, block in (("A1", a1), ("A3", a3), ("B2", b2)):
+        assert np.max(np.abs(block * jj - ref[name])) < 1e-12, name
+    k_ref = _adaptive_moment(m, 60, 1, 2) + (m * m * ref["Aneg1"] if m else 0.0)
+    assert np.max(np.abs(kinetic * jj - k_ref)) < 1e-12 * np.max(np.abs(k_ref))
+
+
+def test_bessel_sign_alternates_at_zeros():
+    # the zero-only blocks take sign J_{m+1}(x_mn) = (-1)^(n+1) as given
+    n = np.arange(1, 61)
+    for m in range(21):
+        zeros, _ = _zeros(m, 60)
+        values = bessel_j(m + 1, zeros)
+        assert np.array_equal(np.sign(values), (-1.0) ** (n + 1)), m
 
 
 def test_moment_tables_fall_back_when_estimate_misses(monkeypatch):
@@ -458,7 +482,7 @@ def test_moment_tables_fall_back_when_estimate_misses(monkeypatch):
 
 
 def test_moment_tables_do_not_read_overlap_grid(monkeypatch):
-    # the closed energy route must not share the overlap route's nodes
+    # the quadrature reference must not share the overlap route's nodes
     def refuse(*args):
         raise AssertionError("moment tables read the overlap grid")
 
@@ -477,6 +501,45 @@ def test_first_moments_vanish():
     state = coeffs_from_eigenstate(0, 1, geom, n_max=20)
     assert expectation("q0", state, 0.3, geom) == 0.0
     assert expectation("p0", state, 0.3, geom) == 0.0
+
+
+def test_operator_paths_read_no_quadrature(monkeypatch):
+    # the operator matrices and route 2 come from the zeros alone; only
+    # energy_ratio_paths' route 1 still integrates, on the overlap grid
+    geom = TrapGeometry.from_alpha(0.8)
+    state = coeffs_from_eigenstate(1, 2, geom, n_max=30)
+    t = 0.5 / geom.u  # xi = 1.5
+    # route 2 on the quadrature tables, as it was formed before
+    tab = moment_tables(1, 2)
+    a3, kinetic = tab.A3[1, 1], (tab.Aneg1 - tab.B0 - tab.C1)[1, 1]
+    drift = 4.0 * geom.alpha ** 2 * a3
+    closed_ref = (drift + kinetic / geom.xi(t) ** 2) / (drift + kinetic)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator path reached quadrature")
+
+    monkeypatch.setattr(spectral, "moment_tables", refuse)
+    assert_allclose(energy_ratio_paths(1, 2, t, geom)[1], closed_ref, rtol=1e-13)
+    monkeypatch.setattr(spectral, "integrate", refuse)
+    monkeypatch.setattr(spectral, "bessel_j", refuse)
+    dq, dp, prod = uncertainties(1, 2, t, geom)
+    assert prod > 0.5 and dq * dp == prod
+    static = TrapGeometry()
+    h = matrix_element("H", 1, 2, 2, 0.0, static)
+    assert_allclose(h.real, static.energy(1, 2), rtol=1e-14)
+    assert expectation("q0sq", state, t, geom) > 0.0
+
+
+def test_uncertainties_validate_tables_argument():
+    geom = TrapGeometry()
+    tab = moment_tables(1, 4)
+    assert uncertainties(1, 4, 0.0, geom, tab) == uncertainties(1, 4, 0.0, geom)
+    with pytest.raises(DomainError):
+        uncertainties(2, 1, 0.0, geom, tab)   # tables for another m
+    with pytest.raises(DomainError):
+        uncertainties(1, 5, 0.0, geom, tab)   # n beyond the tables
+    with pytest.raises(DomainError):
+        uncertainties(1, 0, 0.0, geom)
 
 
 def test_h_reproduces_static_energies():
