@@ -1,22 +1,36 @@
 """Command line front end.
 
-Subcommands:
+Subcommands, and the settings each one reads:
 
     zeros      Bessel zero table for an angular index
+               --m --nmax
     energy     mode energy ratio versus expansion factor, both routes
+               --m --n --alpha-ratio --xi --grid --nmax
     moments    diagonal moment integrals against their closed forms
+               --m --nmax
     density-r  scaled radial density snapshot at a target expansion factor
+               --m --n --alpha-ratio --xi --grid
     density-t  scaled density time series at a fixed observation radius
+               --m --n --alpha-ratio --t-max --grid --eta-obs
     verify     self-check battery, JSON report
+               --drop-moving-phase (flag only, no config key)
+
+Every subcommand also takes --out and --config.  `_COMMANDS` declares these
+settings, their types and defaults once; the parser, the config check and the
+resolve step all read it.  A flag or config key that a subcommand does not
+read is a usage error, and flags are never abbreviated.
 
 Tabular commands emit CSV with '#' metadata lines; floats are printed with
 repr so values round-trip exactly and output is deterministic.  `verify`
 prints a JSON object mapping check name to {pass, measured, threshold} and
 exits 4 if any check fails.
 
-A config file (--config, key=value lines, '#' comments) supplies defaults;
-explicit flags win.  Exit codes: 0 ok, 2 usage or domain error, 3 numeric
-failure, 4 failed verification.
+A config file (--config, key=value lines, '#' comments) may set any of the
+subcommand's settings and `out`, keyed by the flag's name (dashes and
+underscores alike); `energy` also reads the physical units a, u, hbar, mu.
+Each setting is taken from its flag, else the config, else its default.
+Exit codes: 0 ok, 2 usage or domain error, 3 numeric failure, 4 failed
+verification.
 """
 
 from __future__ import annotations
@@ -81,18 +95,15 @@ def _csv(meta: list[tuple[str, object]], header: list[str],
 # --------------------------------------------------------------------------
 # Config handling
 
-# the config keys each subcommand reads; only `energy` reads the units a, u, hbar, mu
-_COMMAND_KEYS = {
-    "zeros": {"m", "nmax", "out"}, "moments": {"m", "nmax", "out"}, "verify": {"out"},
-    "energy": {"m", "n", "alpha_ratio", "xi", "grid", "nmax", "out", "a", "u", "hbar", "mu"},
-    "density-r": {"m", "n", "alpha_ratio", "xi", "grid", "out"},
-    "density-t": {"m", "n", "alpha_ratio", "t_max", "grid", "eta_obs", "out"},
-}
+def _settings(command: str) -> dict:
+    """Name -> (type, default) of every setting `command` reads, `out` included."""
+    return {**_COMMANDS[command][2], "out": (str, None)}
 
 
 def _load_config(path: str | None, command: str) -> dict:
     if not path:
         return {}
+    known = {*_settings(command), *(_UNITS if command == "energy" else ())}
     cfg = {}
     try:
         with open(path) as fh:
@@ -104,25 +115,26 @@ def _load_config(path: str | None, command: str) -> dict:
                     raise DomainError(f"{path}:{lineno}: expected key=value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in _COMMAND_KEYS[command]:
+                if key not in known:
                     raise DomainError(f"{path}:{lineno}: unknown key {key!r} for `{command}`, "
-                                      f"which reads {sorted(_COMMAND_KEYS[command])}")
+                                      f"which reads {sorted(known)}")
                 cfg[key] = val
     except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
     return cfg
 
 
-def _resolve(args, cfg: dict, key: str, default, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError as exc:
-            raise DomainError(f"config key {key}: {exc}") from exc
-    return default
+def _resolve(args) -> dict:
+    """Set each setting of `args.command` on `args`: the flag, else the config
+    value, else the default.  Returns the config, whose unit keys `energy` reads."""
+    cfg = _load_config(args.config, args.command)
+    for key, (cast, default) in _settings(args.command).items():
+        if getattr(args, key) is None:
+            try:
+                setattr(args, key, cast(cfg[key]) if key in cfg else default)
+            except ValueError as exc:
+                raise DomainError(f"config key {key}: {exc}") from exc
+    return cfg
 
 
 def _geometry_from(cfg: dict, alpha: float) -> TrapGeometry:
@@ -149,103 +161,80 @@ def _x(m: int, n: int) -> float:
 # Tabular commands
 
 def cmd_zeros(args, cfg) -> int:
-    m = _resolve(args, cfg, "m", 0, int)
-    nmax = _resolve(args, cfg, "nmax", 10, int)
-    out = _resolve(args, cfg, "out", None, str)
-    table = bessel_zeros(m, nmax)
-    rows = [(m, k + 1, z) for k, z in enumerate(table.zeros)]
-    _csv([("command", "zeros"), ("m", m), ("nmax", nmax)],
-         ["m", "n", "x_mn"], rows, out)
+    table = bessel_zeros(args.m, args.nmax)
+    rows = [(args.m, k + 1, z) for k, z in enumerate(table.zeros)]
+    _csv([("command", "zeros"), ("m", args.m), ("nmax", args.nmax)],
+         ["m", "n", "x_mn"], rows, args.out)
     return EXIT_OK
 
 
 def cmd_energy(args, cfg) -> int:
-    m = _resolve(args, cfg, "m", 0, int)
-    n = _resolve(args, cfg, "n", 1, int)
-    ratio = _resolve(args, cfg, "alpha_ratio", 1.0, float)
-    xi_end = _resolve(args, cfg, "xi", 2.0, float)
-    grid = _resolve(args, cfg, "grid", 9, int)
-    nmax = _resolve(args, cfg, "nmax", spectral.N_MAX_DEFAULT, int)
-    out = _resolve(args, cfg, "out", None, str)
-
-    geom = _geometry_from(cfg, ratio * 0.5 * _x(m, n))
+    geom = _geometry_from(cfg, args.alpha_ratio * 0.5 * _x(args.m, args.n))
     if geom.u == 0.0:
         raise DomainError("energy sweep needs a moving wall (alpha_ratio != 0)")
-    if (xi_end - 1.0) * geom.u < 0.0:
+    if (args.xi - 1.0) * geom.u < 0.0:
         raise DomainError(
-            f"xi = {xi_end} is not reachable with wall speed u = {geom.u}")
+            f"xi = {args.xi} is not reachable with wall speed u = {geom.u}")
 
     rows = []
-    for xi_t in np.linspace(1.0, xi_end, max(grid, 2)):
+    for xi_t in np.linspace(1.0, args.xi, max(args.grid, 2)):
         t = (xi_t - 1.0) * geom.a / geom.u
-        isum, closed = spectral.energy_ratio_paths(m, n, t, geom, nmax)
+        isum, closed = spectral.energy_ratio_paths(args.m, args.n, t, geom, args.nmax)
         rows.append((float(xi_t), isum, closed))
-    _csv([("command", "energy"), ("m", m), ("n", n), ("alpha", geom.alpha),
-          ("u", geom.u), ("nmax", nmax)],
-         ["xi", "ratio_isum", "ratio_closed"], rows, out)
+    _csv([("command", "energy"), ("m", args.m), ("n", args.n), ("alpha", geom.alpha),
+          ("u", geom.u), ("nmax", args.nmax)],
+         ["xi", "ratio_isum", "ratio_closed"], rows, args.out)
     return EXIT_OK
 
 
+def _oracle_pairs(m: int, n: int, tab) -> list:
+    """(oracle closed form, quadrature-table diagonal) at mode n for A3, the
+    gradient form B0 + C1 = -int s g'^2 and, when m >= 1, A^{-1}."""
+    i = n - 1
+    pairs = [(oracle.a3_closed(m, n), tab.A3[i, i]),
+             (oracle.c1_closed(m, n), tab.B0[i, i] + tab.C1[i, i])]
+    if m >= 1:
+        pairs.append((oracle.a_neg1_closed(m, n), tab.Aneg1[i, i]))
+    return pairs
+
+
 def cmd_moments(args, cfg) -> int:
-    m = _resolve(args, cfg, "m", 0, int)
-    nmax = _resolve(args, cfg, "nmax", 8, int)
-    out = _resolve(args, cfg, "out", None, str)
-    tab = spectral.moment_tables(m, nmax)
-    zeros, absj = spectral._zeros_cached(m, nmax)
+    tab = spectral.moment_tables(args.m, args.nmax)
+    absj = spectral._zeros_cached(args.m, args.nmax)[1]
     rows = []
-    for n in range(1, nmax + 1):
-        i = n - 1
-        j2 = absj[i] ** 2
-        a3 = tab.A3[i, i]
-        c1_grad = tab.B0[i, i] + tab.C1[i, i]  # -int s g'^2, the gradient form
-        r_a3 = oracle.a3_closed(m, n)
-        r_c1 = oracle.c1_closed(m, n)
-        d_a3 = abs(a3 - r_a3.value) / abs(r_a3.value)
-        d_c1 = abs(c1_grad - r_c1.value) / abs(r_c1.value)
-        if m == 0:
-            aneg1 = d_an = None
-        else:
-            aneg1 = tab.Aneg1[i, i] / j2
-            r_an = oracle.a_neg1_closed(m, n)
-            d_an = abs(tab.Aneg1[i, i] - r_an.value) / abs(r_an.value)
-        rows.append((m, n, aneg1, a3 / j2, abs(c1_grad) / j2, d_an, d_a3, d_c1))
-    _csv([("command", "moments"), ("m", m), ("nmax", nmax)],
+    for n in range(1, args.nmax + 1):
+        j2 = absj[n - 1] ** 2
+        pairs = _oracle_pairs(args.m, n, tab)
+        gap = [abs(quad - res.value) / abs(res.value) for res, quad in pairs]
+        aneg1, d_an = (pairs[2][1] / j2, gap[2]) if args.m else (None, None)
+        rows.append((args.m, n, aneg1, pairs[0][1] / j2, abs(pairs[1][1]) / j2,
+                     d_an, gap[0], gap[1]))
+    _csv([("command", "moments"), ("m", args.m), ("nmax", args.nmax)],
          ["m", "n", "aneg1_over_j2", "a3_over_j2", "abs_c1_over_j2",
-          "delta_aneg1", "delta_a3", "delta_c1"], rows, out)
+          "delta_aneg1", "delta_a3", "delta_c1"], rows, args.out)
     return EXIT_OK
 
 
 def cmd_density_r(args, cfg) -> int:
-    m = _resolve(args, cfg, "m", 0, int)
-    n = _resolve(args, cfg, "n", 1, int)
-    ratio = _resolve(args, cfg, "alpha_ratio", 1.0, float)
-    xi_t = _resolve(args, cfg, "xi", 2.0, float)
-    grid = _resolve(args, cfg, "grid", 400, int)
-    out = _resolve(args, cfg, "out", None, str)
-    samples = evolve.density_profile(m, n, ratio, xi_t, grid)
+    samples = evolve.density_profile(args.m, args.n, args.alpha_ratio, args.xi, args.grid)
     rows = [(s.eta, s.T, s.rho_density) for s in samples]
-    _csv([("command", "density-r"), ("m", m), ("n", n),
-          ("alpha_ratio", ratio), ("xi", xi_t), ("T", samples[0].T)],
-         ["eta", "T", "rho_density"], rows, out)
+    _csv([("command", "density-r"), ("m", args.m), ("n", args.n),
+          ("alpha_ratio", args.alpha_ratio), ("xi", args.xi), ("T", samples[0].T)],
+         ["eta", "T", "rho_density"], rows, args.out)
     return EXIT_OK
 
 
 def cmd_density_t(args, cfg) -> int:
-    m = _resolve(args, cfg, "m", 0, int)
-    n = _resolve(args, cfg, "n", 1, int)
-    ratio = _resolve(args, cfg, "alpha_ratio", 1.0, float)
-    t_max = _resolve(args, cfg, "t_max", 6.0, float)
-    grid = _resolve(args, cfg, "grid", 800, int)
-    out = _resolve(args, cfg, "out", None, str)
-    eta_obs = _resolve(args, cfg, "eta_obs", _x(m, n) / math.pi, float)
-
-    samples, flight = evolve.density_timeseries(m, n, ratio, eta_obs, t_max, grid)
+    if args.eta_obs is None:
+        args.eta_obs = _x(args.m, args.n) / math.pi
+    samples, flight = evolve.density_timeseries(args.m, args.n, args.alpha_ratio,
+                                                args.eta_obs, args.t_max, args.grid)
     vis = evolve.visibility(samples, flight)
     rows = [(s.T, s.eta, s.rho_density, flight.T1, flight.T2) for s in samples]
-    _csv([("command", "density-t"), ("m", m), ("n", n),
-          ("alpha_ratio", ratio), ("eta_obs", eta_obs), ("t_max", t_max),
+    _csv([("command", "density-t"), ("m", args.m), ("n", args.n),
+          ("alpha_ratio", args.alpha_ratio), ("eta_obs", args.eta_obs), ("t_max", args.t_max),
           ("T1", flight.T1), ("T2", flight.T2), ("visibility", vis)],
-         ["T", "eta", "rho_density", "T1", "T2"], rows, out)
+         ["T", "eta", "rho_density", "T1", "T2"], rows, args.out)
     return EXIT_OK
 
 
@@ -341,13 +330,7 @@ def _check_oracle_hyper():
     worst = 0.0
     hyper_seen = 0
     for m, n in pairs:
-        tab = spectral.moment_tables(m, max(n, 4))
-        i = n - 1
-        probes = [(oracle.a3_closed(m, n), tab.A3[i, i]),
-                  (oracle.c1_closed(m, n), tab.B0[i, i] + tab.C1[i, i])]
-        if m >= 1:
-            probes.append((oracle.a_neg1_closed(m, n), tab.Aneg1[i, i]))
-        for res, ref in probes:
+        for res, ref in _oracle_pairs(m, n, spectral.moment_tables(m, max(n, 4))):
             if res.path != oracle.PATH_HYPER:
                 continue
             hyper_seen += 1
@@ -414,9 +397,8 @@ _CHECKS = [
 
 
 def cmd_verify(args, cfg) -> int:
-    out = _resolve(args, cfg, "out", None, str)
     checks = list(_CHECKS)
-    if getattr(args, "drop_moving_phase", False):
+    if args.drop_moving_phase:
         # run the main agreement check with the broken reconstruction so the
         # failure mode is demonstrable end to end
         checks = [(name, _make_two_path(True, expect_agreement=True)
@@ -440,12 +422,40 @@ def cmd_verify(args, cfg) -> int:
             entry["error"] = err
         report[name] = entry
         all_ok = all_ok and ok
-    _emit(json.dumps(report, indent=2) + "\n", out)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 # --------------------------------------------------------------------------
 # Entry point
+
+# Each subcommand's handler, help line and settings, name -> (type, default).
+# A setting is both a flag (alpha_ratio is --alpha-ratio) and a config key; a
+# default of None is computed by the handler.  `_settings` adds `out`.
+_COMMANDS = {
+    "zeros": (cmd_zeros, "Bessel zero table", {"m": (int, 0), "nmax": (int, 10)}),
+    "energy": (cmd_energy, "energy ratio vs expansion factor, two routes",
+               {"m": (int, 0), "n": (int, 1), "alpha_ratio": (float, 1.0), "xi": (float, 2.0),
+                "grid": (int, 9), "nmax": (int, spectral.N_MAX_DEFAULT)}),
+    "moments": (cmd_moments, "diagonal moment integrals vs closed forms",
+                {"m": (int, 0), "nmax": (int, 8)}),
+    "density-r": (cmd_density_r, "radial density snapshot at a target xi",
+                  {"m": (int, 0), "n": (int, 1), "alpha_ratio": (float, 1.0), "xi": (float, 2.0),
+                   "grid": (int, 400)}),
+    "density-t": (cmd_density_t, "density time series at a fixed radius",
+                  {"m": (int, 0), "n": (int, 1), "alpha_ratio": (float, 1.0), "t_max": (float, 6.0),
+                   "grid": (int, 800), "eta_obs": (float, None)}),
+    "verify": (cmd_verify, "self-check battery", {}),
+}
+_UNITS = ("a", "u", "hbar", "mu")  # physical-unit config keys, read by `energy` only
+_HELP = {
+    "m": "angular index", "n": "radial index (1-based)", "nmax": "basis size",
+    "grid": "grid points / steps", "alpha_ratio": "wall speed in units of the mode scale x_mn/2",
+    "xi": "target expansion factor", "t_max": "end of the scaled time window",
+    "eta_obs": "observation radius in wavelengths (default: x_mn/pi)",
+    "out": "output file (default stdout)",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -454,58 +464,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "uniformly moving wall.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", type=int, default=None, help="angular index")
-    common.add_argument("--n", type=int, default=None, help="radial index (1-based)")
-    common.add_argument("--nmax", type=int, default=None, help="basis size")
-    common.add_argument("--grid", type=int, default=None, help="grid points / steps")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--config", default=None, help="key=value defaults file")
-
-    p = sub.add_parser("zeros", parents=[common], help="Bessel zero table")
-    p.set_defaults(func=cmd_zeros)
-
-    p = sub.add_parser("energy", parents=[common],
-                       help="energy ratio vs expansion factor, two routes")
-    p.add_argument("--alpha-ratio", type=float, default=None,
-                   help="wall speed in units of the mode scale x_mn/2")
-    p.add_argument("--xi", type=float, default=None, help="final expansion factor")
-    p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser("moments", parents=[common],
-                       help="diagonal moment integrals vs closed forms")
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("density-r", parents=[common],
-                       help="radial density snapshot at a target xi")
-    p.add_argument("--alpha-ratio", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    p.set_defaults(func=cmd_density_r)
-
-    p = sub.add_parser("density-t", parents=[common],
-                       help="density time series at a fixed radius")
-    p.add_argument("--alpha-ratio", type=float, default=None)
-    p.add_argument("--eta-obs", type=float, default=None,
-                   help="observation radius in wavelengths (default: x_mn/pi)")
-    p.add_argument("--t-max", type=float, default=None, help="end of the scaled time window")
-    p.set_defaults(func=cmd_density_t)
-
-    p = sub.add_parser("verify", parents=[common], help="self-check battery")
-    p.add_argument("--drop-moving-phase", action="store_true",
-                   help="negative control: run the agreement check with the "
-                        "moving phase dropped; verification must then fail")
-    p.set_defaults(func=cmd_verify)
+    for command, (func, text, _) in _COMMANDS.items():
+        # no abbreviations: `zeros --n 5` must not be read as --nmax 5
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for key, (cast, _) in _settings(command).items():
+            p.add_argument("--" + key.replace("_", "-"), type=cast, help=_HELP[key])
+        p.add_argument("--config", help="key=value defaults file")
+        if command == "verify":
+            p.add_argument("--drop-moving-phase", action="store_true",
+                           help="negative control: run the agreement check with the "
+                                "moving phase dropped; verification must then fail")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.command)
-        return args.func(args, cfg)
-    except (DomainError, IndexError) as exc:
+        return args.func(args, _resolve(args))
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericError, TruncationError, BudgetExceededError) as exc:

@@ -157,6 +157,8 @@ _ZERO_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _zeros_cached(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(zeros x_mn, |J_{m+1}(x_mn)|) for n = 1..count, grown monotonically."""
+    if count < 1:  # a slice [:count] would hand back the wrong zeros or none
+        raise DomainError(f"radial index n = {count} at m = {m}: modes are numbered from n = 1")
     have = _ZERO_CACHE.get(m)
     if have is None or have[0].size < count:
         grow = max(count, N_MAX_DEFAULT)

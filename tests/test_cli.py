@@ -2,8 +2,10 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,10 +152,39 @@ def test_config_units_rejected_outside_energy(tmp_path, capsys, key):
 def test_config_rejects_keys_the_command_does_not_read(tmp_path, capsys, command, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = 3\n")
-    rc = main([command, "--nmax", "2", "--config", str(cfg)])
+    rc = main([command, "--config", str(cfg)])
     captured = capsys.readouterr()
     assert rc == EXIT_USAGE
     assert captured.out == "" and repr(key) in captured.err
+
+
+@pytest.mark.parametrize("argv", [["zeros", "--n", "5"], ["zeros", "--grid", "7"],
+                                  ["moments", "--n", "1"], ["density-r", "--nmax", "3"],
+                                  ["density-t", "--nmax", "3"], ["verify", "--m", "3"],
+                                  ["energy", "--nm", "3"]])
+def test_unread_flags_exit_usage(capsys, argv):
+    # `zeros --n 5` would otherwise abbreviate --nmax, and `energy --nm` --nmax
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == "" and f"unrecognized arguments: {argv[1]}" in captured.err
+
+
+def test_non_positive_radial_index_exits_usage(capsys):
+    assert main(["energy", "--n", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "radial index n = 0" in captured.err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert {argv[1] for argv in lines} == set(cli._COMMANDS)  # one example at least each
+    for argv in lines:
+        assert argv[0] == "qtrap"
+        cli._build_parser().parse_args(argv[1:])  # an unknown flag exits
 
 
 def test_config_rejects_missing_file(capsys):

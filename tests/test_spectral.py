@@ -75,6 +75,13 @@ def test_geometry_domain_errors():
         crawling.tau(1.0 / crawling.u)
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+def test_energy_rejects_non_positive_radial_index(n):
+    # n = -1 used to slice the zero table to x_{0,58}, n = 0 to an empty one
+    with pytest.raises(DomainError, match=f"radial index n = {n}"):
+        TrapGeometry().energy(0, n)
+
+
 def test_geometry_accepts_time_arrays():
     geom = TrapGeometry(a=1.0, u=-1.0)
     assert type(geom.xi(0.5)) is float
