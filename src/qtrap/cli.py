@@ -169,6 +169,8 @@ def cmd_zeros(args, cfg) -> int:
 
 
 def cmd_energy(args, cfg) -> int:
+    if args.grid < 2:
+        raise DomainError("grid must be >= 2")
     geom = _geometry_from(cfg, args.alpha_ratio * 0.5 * _x(args.m, args.n))
     if geom.u == 0.0:
         raise DomainError("energy sweep needs a moving wall (alpha_ratio != 0)")
@@ -177,7 +179,7 @@ def cmd_energy(args, cfg) -> int:
             f"xi = {args.xi} is not reachable with wall speed u = {geom.u}")
 
     rows = []
-    for xi_t in np.linspace(1.0, args.xi, max(args.grid, 2)):
+    for xi_t in np.linspace(1.0, args.xi, args.grid):
         t = (xi_t - 1.0) * geom.a / geom.u
         isum, closed = spectral.energy_ratio_paths(args.m, args.n, t, geom, args.nmax)
         rows.append((float(xi_t), isum, closed))
@@ -243,7 +245,12 @@ def cmd_density_t(args, cfg) -> int:
 
 def _closed_form_gaps(m: int) -> list[float]:
     """Largest |zero-only block - quadrature table| at n_max 20 for A1, A3, B2
-    and the kinetic form m^2 A^{-1} - B0 - C1, in that order."""
+    and the kinetic form m^2 A^{-1} - B0 - C1, in that order.
+
+    The last entry is not an independent check of the kinetic block:
+    `moment_tables` builds C1 from the Bessel equation, so its kinetic form
+    is A1 diag(x^2) to rounding and the gap is the A1 gap scaled by x^2.
+    """
     tab = spectral.moment_tables(m, 20)
     absj = spectral._zeros_cached(m, 20)[1]
     refs = (tab.A1, tab.A3, tab.B2, (0.0 if m == 0 else m * m * tab.Aneg1) - tab.B0 - tab.C1)
@@ -257,7 +264,8 @@ def _check_orthonormality():
 
 
 def _check_operator_closed_forms():
-    # independent route for every block behind the q^2, p^2 and H matrices
+    # independent quadrature route for the A1, A3 and B2 blocks behind the
+    # q^2, p^2 and H matrices; the kinetic entry only rescales the A1 gap
     worst = max(max(_closed_form_gaps(m)) for m in (0, 3))
     return worst <= 1e-9, worst, 1e-9
 

@@ -294,25 +294,25 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
 # --------------------------------------------------------------------------
 # Equation residual
 
-def pde_residual(m: int, n: int, geom: TrapGeometry, grid: int,
-                 t: float | None = None) -> float:
+def pde_residual(m: int, n: int, geom: TrapGeometry, grid: int) -> float:
     """Max-abs residual of the exact mode in the governing equation,
 
         i hbar dPsi/dt + (hbar^2/2 mu)(Psi_rr + Psi_r/rho - m^2 Psi/rho^2),
 
     discretized with centered differences on `grid` radial points (half-cell
-    offset from the axis) and a matching time step.  The exact solution makes
-    this pure truncation error, falling like the square of the step.
+    offset from the axis) and a matching time step, at xi = 1.25 for an
+    expanding wall, xi = 0.8 for a contracting one and t = 0.1 mu a^2 / hbar
+    for a static one.  The exact solution makes this pure truncation error,
+    falling like the square of the step.
     """
     if grid < 4:
         raise DomainError("grid must be >= 4")
-    if t is None:
-        if geom.u > 0.0:
-            t = 0.25 * geom.a / geom.u          # xi = 1.25
-        elif geom.u < 0.0:
-            t = 0.2 * geom.a / abs(geom.u)      # xi = 0.8
-        else:
-            t = 0.1 * geom.mu * geom.a ** 2 / geom.hbar
+    if geom.u > 0.0:
+        t = 0.25 * geom.a / geom.u          # xi = 1.25
+    elif geom.u < 0.0:
+        t = 0.2 * geom.a / abs(geom.u)      # xi = 0.8
+    else:
+        t = 0.1 * geom.mu * geom.a ** 2 / geom.hbar
     L = geom.L(t)
     h = 0.9 * L / grid
     rho = (np.arange(1, grid) + 0.5) * h  # 1.5h first: rho - h stays off the axis

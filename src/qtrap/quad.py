@@ -26,9 +26,11 @@ from .special import NumericError
 
 __all__ = ["QuadResult", "BudgetExceededError", "integrate", "gk15_panels"]
 
-# default accuracy target of `integrate`: max(ABS_TOL, REL_TOL * max|component|)
+# accuracy target of `integrate`, max(ABS_TOL, REL_TOL * max|component|), and
+# the most panels it may evaluate; all three are read at call time
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
+PANEL_BUDGET = 20000
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss rule on the odd-indexed nodes.
@@ -126,18 +128,19 @@ def gk15_panels(a: float, b: float, panels: int):
     return c + h * _NODES, h * _W_KRON, h * (_W_KRON - _W_GAUSS)
 
 
-def integrate(f, a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL,
-              initial_panels: int = 8, panel_budget: int = 20000) -> QuadResult:
-    """Integrate f over [a, b] to max(abs_tol, rel_tol * max|component|).
+def integrate(f, a: float, b: float, initial_panels: int = 8) -> QuadResult:
+    """Integrate f over [a, b] to max(ABS_TOL, REL_TOL * max|component|),
+    starting from `initial_panels` equal panels.
 
     `f` maps a 1-D abscissa array of length N to an array whose leading axis
     has length N; trailing axes (if any) are integrated componentwise and the
     error target applies to the worst component.  Real and complex values are
     both fine.
 
-    Raises BudgetExceededError (carrying the best QuadResult) if the panel
-    budget is exhausted before the target is met, NumericError on a NaN or
-    infinite error estimate.
+    The target and the panel budget are the module constants ABS_TOL,
+    REL_TOL and PANEL_BUDGET.  Raises BudgetExceededError (carrying the best
+    QuadResult) if PANEL_BUDGET panels are spent before the target is met,
+    NumericError on a NaN or infinite error estimate.
     """
     a, b = float(a), float(b)
     if not np.isfinite(a) or not np.isfinite(b):
@@ -155,7 +158,7 @@ def integrate(f, a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = 
     while True:
         total = kron.sum(axis=0)
         scale = float(np.max(np.abs(total))) if np.ndim(total) else abs(total)
-        target = max(abs_tol, rel_tol * scale)
+        target = max(ABS_TOL, REL_TOL * scale)
         total_err = float(err.sum())
         if not np.isfinite(total_err):
             raise NumericError(f"integrand is not finite: error estimate {total_err}")
@@ -167,11 +170,11 @@ def integrate(f, a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = 
         if not np.any(bad):
             bad = err == err.max()
         n_new = 2 * int(bad.sum())
-        if used + n_new > panel_budget:
+        if used + n_new > PANEL_BUDGET:
             value = total if np.ndim(total) else complex(total) if np.iscomplexobj(kron) else float(total)
             best = QuadResult(value=value, err_estimate=total_err, panels_used=used)
             raise BudgetExceededError(
-                f"panel budget {panel_budget} exhausted at error {total_err:.3e} (target {target:.3e})",
+                f"panel budget {PANEL_BUDGET} exhausted at error {total_err:.3e} (target {target:.3e})",
                 best,
             )
 

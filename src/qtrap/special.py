@@ -1,6 +1,6 @@
 """Real special functions built from scratch: Bessel J_m, its derivative and
-positive zeros, the Gamma function, and a guarded generalized hypergeometric
-series.
+positive zeros, ln Gamma for the series test, and a guarded generalized
+hypergeometric series.
 
 Everything in this module is pure and reentrant.  No caching happens here;
 callers that want tables cache them themselves.
@@ -26,7 +26,6 @@ __all__ = [
     "bessel_j",
     "bessel_j_prime",
     "bessel_zeros",
-    "gamma_fn",
     "log_gamma",
     "pfq",
 ]
@@ -37,6 +36,7 @@ X_MAX = 1.0e4
 # Ascending series is used while its largest term stays below exp(SERIES_LOG_CAP).
 # long double keeps ~1.1e-19; e^11.4 ~ 9e4 worst-term cancellation => ~1e-14 abs.
 SERIES_LOG_CAP = 11.4
+_TINY = np.finfo(float).tiny
 
 # Hankel asymptotics are only trusted for orders 0 and 1; every other point
 # that the series cannot reach goes through Miller downward recurrence, whose
@@ -60,7 +60,7 @@ class NonConvergence(NumericError):
 
 
 # --------------------------------------------------------------------------
-# Gamma machinery (needed by the series eligibility test and by pfq callers)
+# ln Gamma (needed by the series eligibility test)
 
 # Lanczos g = 7, 9-term coefficients.
 _LANCZOS_G = 7.0
@@ -91,45 +91,31 @@ def log_gamma(z):
     return out if out.ndim else float(out)
 
 
-def gamma_fn(z: float) -> float:
-    """Gamma(z) for real 0 < z <= 170, relative error <= 1e-12."""
-    z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"gamma_fn requires z > 0, got {z}")
-    if z > 170.0:
-        raise DomainError(f"gamma_fn overflows past z = 170, got {z}")
-    if z == math.floor(z):
-        return float(math.factorial(int(z) - 1))
-    if z < 0.5:
-        # reflection keeps the Lanczos sum in its accurate range
-        return math.pi / (math.sin(math.pi * z) * gamma_fn(1.0 - z))
-    return float(math.exp(log_gamma(z)))
-
-
 # --------------------------------------------------------------------------
 # Bessel J_m
 
 def _series_eligible(m: int, x: np.ndarray) -> np.ndarray:
-    """Mask of arguments whose ascending series keeps cancellation bounded."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kstar = 0.5 * (-m + np.sqrt(m * m + x * x))
-        log_tmax = (
-            (m + 2.0 * kstar) * np.log(x / 2.0)
-            - log_gamma(kstar + 1.0)
-            - log_gamma(m + kstar + 1.0)
-        )
-    # x < 2 makes log(x/2) negative, so tiny arguments are always eligible
-    return np.where(x > 0.0, log_tmax <= SERIES_LOG_CAP, True)
+    """Mask of arguments x > 0 whose ascending series keeps cancellation
+    bounded.
+
+    x / 2 underflows to 0 at the smallest subnormal.  The floor at the
+    smallest normal keeps the log finite there, so J_0 takes the series and
+    not the Hankel sum; it leaves every other decision as it was.
+    """
+    kstar = 0.5 * (-m + np.sqrt(m * m + x * x))
+    log_tmax = (
+        (m + 2.0 * kstar) * np.log(np.maximum(x / 2.0, _TINY))
+        - log_gamma(kstar + 1.0)
+        - log_gamma(m + kstar + 1.0)
+    )
+    return log_tmax <= SERIES_LOG_CAP
 
 
 def _jm_series(m: int, x: np.ndarray) -> np.ndarray:
-    """Ascending power series in long double."""
+    """Ascending power series in long double, for x > 0."""
     xl = x.astype(np.longdouble)
     q = (0.5 * xl) ** 2
-    with np.errstate(divide="ignore"):
-        logt0 = m * np.log(0.5 * xl) - math.lgamma(m + 1)
-    term = np.where(xl > 0.0, np.exp(logt0.astype(np.longdouble)), 1.0 if m == 0 else 0.0)
-    term = term.astype(np.longdouble)
+    term = np.exp(m * np.log(0.5 * xl) - math.lgamma(m + 1))
     total = term.copy()
     tiny = np.longdouble(1e-25)
     for k in range(400):
@@ -257,8 +243,7 @@ def bessel_j_prime(m, x):
     """dJ_m/dx via the recurrence J'_m = (J_{m-1} - J_{m+1})/2."""
     m = _validate_order(m)
     if m == 0:
-        jm1 = bessel_j(1, x)
-        return -jm1 if np.ndim(jm1) else -float(jm1)
+        return -bessel_j(1, x)
     return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
 
 
@@ -287,15 +272,6 @@ class BesselZeroTable:
         resid = np.abs(bessel_j(self.m, z))
         if np.max(resid) >= 1e-12:
             raise NumericError(f"stored zero fails residual check: {np.max(resid):.3e}")
-
-    def __len__(self) -> int:
-        return int(self.zeros.size)
-
-    def __getitem__(self, n: int) -> float:
-        """1-based access: table[n] is x_mn."""
-        if not 1 <= n <= len(self):
-            raise IndexError(f"zero index {n} outside 1..{len(self)}")
-        return float(self.zeros[n - 1])
 
 
 _SCAN_STEP = math.pi / 4.0

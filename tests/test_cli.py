@@ -64,6 +64,14 @@ def test_energy_rejects_unreachable_xi(capsys):
     assert "not reachable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["-5", "0", "1"])
+def test_energy_rejects_grid_below_two(capsys, grid):
+    # as density-r and density-t do; no row is printed
+    assert main(["energy", "--grid", grid]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "grid" in captured.err
+
+
 def test_moments_m0_blanks_inverse_column(capsys):
     assert main(["moments", "--m", "0", "--nmax", "3"]) == EXIT_OK
     meta, header, rows = _parse(capsys.readouterr().out)

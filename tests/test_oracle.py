@@ -82,7 +82,7 @@ def test_routes_cross_validate():
     from qtrap.special import bessel_j, bessel_zeros
 
     for m, n in ((1, 1), (2, 2), (3, 1)):
-        x = bessel_zeros(m, n)[n]
+        x = bessel_zeros(m, n).zeros[n - 1]
         res = a3_closed(m, n)
         assert res.path == PATH_HYPER
         ref = integrate(lambda s: s ** 3 * bessel_j(m, x * s) ** 2, 0.0, 1.0,
@@ -112,7 +112,7 @@ def test_c1_m0_closed_form_is_exact():
     # -x^2 J_1(x)^2 / 2 at a zero of J_0
     from qtrap.special import bessel_j, bessel_zeros
     for n in (1, 5, 12):
-        x = bessel_zeros(0, n)[n]
+        x = bessel_zeros(0, n).zeros[n - 1]
         res = c1_closed(0, n)
         assert res.path == PATH_M0
         assert_allclose(res.value, -x ** 2 * bessel_j(1, x) ** 2 / 2.0, rtol=1e-14)

@@ -78,23 +78,27 @@ def test_empty_interval():
     assert res.value == 0.0 and res.panels_used == 0
 
 
-def test_fixed_panels_reproduce_integrate():
+def test_fixed_panels_reproduce_integrate(monkeypatch):
     # on integrate's own first layout, with a target loose enough that no
     # panel is refined, the fixed rule gives the same value and the same
     # summed error estimate (here ~1e-9, far above rounding)
     nodes, w_kron, w_err = quad.gk15_panels(0.0, 35.0, 8)
     assert nodes.shape == w_kron.shape == w_err.shape == (8, 15)
-    res = integrate(np.cos, 0.0, 35.0, abs_tol=1e-6, rel_tol=1e-6, initial_panels=8)
+    monkeypatch.setattr(quad, "ABS_TOL", 1e-6)
+    monkeypatch.setattr(quad, "REL_TOL", 1e-6)
+    res = integrate(np.cos, 0.0, 35.0, initial_panels=8)
     assert res.panels_used == 8
     assert_allclose(np.sum(w_kron * np.cos(nodes)), res.value, atol=1e-14)
     assert_allclose(np.sum(np.abs(np.sum(w_err * np.cos(nodes), axis=1))),
                     res.err_estimate, rtol=1e-6)
 
 
-def test_budget_error_carries_best_result():
+def test_budget_error_carries_best_result(monkeypatch):
+    monkeypatch.setattr(quad, "ABS_TOL", 1e-15)
+    monkeypatch.setattr(quad, "REL_TOL", 1e-15)
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 40)
     with pytest.raises(BudgetExceededError) as exc_info:
-        integrate(lambda s: 1.0 / np.sqrt(s), 0.0, 1.0,
-                  abs_tol=1e-15, rel_tol=1e-15, panel_budget=40)
+        integrate(lambda s: 1.0 / np.sqrt(s), 0.0, 1.0)
     best = exc_info.value.result
     assert isinstance(best, QuadResult)
     # endpoint singularity: crude but in the right neighborhood of 2
@@ -102,8 +106,10 @@ def test_budget_error_carries_best_result():
     assert best.panels_used <= 40
 
 
-def test_rel_tol_scaling():
-    big = integrate(lambda s: 1e8 * np.cos(s), 0.0, 1.0, abs_tol=0.0, rel_tol=1e-12)
+def test_rel_tol_scaling(monkeypatch):
+    monkeypatch.setattr(quad, "ABS_TOL", 0.0)
+    monkeypatch.setattr(quad, "REL_TOL", 1e-12)
+    big = integrate(lambda s: 1e8 * np.cos(s), 0.0, 1.0)
     assert_allclose(big.value, 1e8 * math.sin(1.0), rtol=1e-11)
 
 

@@ -1,6 +1,7 @@
-"""Bessel, gamma and hypergeometric routines against independent references."""
+"""Bessel, log-gamma and hypergeometric routines against independent references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from qtrap.special import (
     bessel_j,
     bessel_j_prime,
     bessel_zeros,
-    gamma_fn,
     log_gamma,
     pfq,
 )
@@ -77,6 +77,15 @@ def test_bessel_array_shape_and_scalar():
     assert bessel_j(0, 0.0) == 1.0
 
 
+def test_bessel_at_smallest_subnormal():
+    # x / 2 underflows to 0 here; J_0 must still take the series, not the
+    # Hankel sum, and no floating-point warning may escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bessel_j(0, 5e-324) == 1.0
+        assert bessel_j(3, 5e-324) == 0.0
+
+
 def test_bessel_domain_errors():
     with pytest.raises(DomainError):
         bessel_j(-1, 1.0)
@@ -107,15 +116,13 @@ def test_bessel_prime_against_scipy():
 
 @pytest.mark.parametrize("m,k,expected", ZERO_REFERENCE)
 def test_zero_reference_values(m, k, expected):
-    table = bessel_zeros(m, k)
-    assert_allclose(table[k], expected, rtol=1e-13)
+    assert_allclose(bessel_zeros(m, k).zeros[k - 1], expected, rtol=1e-13)
 
 
 def test_zero_table_invariants():
     for m in (0, 3, 21):
-        table = bessel_zeros(m, 25)
-        z = table.zeros
-        assert len(table) == 25
+        z = bessel_zeros(m, 25).zeros
+        assert z.size == 25
         assert np.all(np.diff(z) > 0)
         assert np.max(np.abs(bessel_j(m, z))) < 1e-12
         # consecutive zeros of J_m straddle one zero of J_{m+1}
@@ -172,11 +179,6 @@ def test_zeros_match_scalar_scan():
 def test_zero_table_rejects_bad_input():
     with pytest.raises(DomainError):
         bessel_zeros(0, 0)
-    table = bessel_zeros(2, 4)
-    with pytest.raises(IndexError):
-        table[5]
-    with pytest.raises(IndexError):
-        table[0]
 
 
 # gamma values at 22 digits
@@ -185,18 +187,12 @@ GAMMA_REFERENCE = [
     (3.7, 4.170651783796604030087),
     (12.25, 73711509.04676994909085),
     (170.0, 4.269068009004705274939e+304),
-    (0.001, 999.4237724845954452983),
 ]
 
 
 @pytest.mark.parametrize("z,expected", GAMMA_REFERENCE)
 def test_gamma_reference_values(z, expected):
-    assert_allclose(gamma_fn(z), expected, rtol=5e-14)
-
-
-def test_gamma_integers_exact():
-    for k in range(1, 21):
-        assert gamma_fn(float(k)) == float(math.factorial(k - 1))
+    assert_allclose(log_gamma(z), math.log(expected), rtol=1e-14)
 
 
 def test_log_gamma_against_stdlib():
@@ -206,12 +202,10 @@ def test_log_gamma_against_stdlib():
 
 
 def test_gamma_domain():
-    with pytest.raises(DomainError):
-        gamma_fn(0.0)
-    with pytest.raises(DomainError):
-        gamma_fn(-2.0)
-    with pytest.raises(DomainError):
-        gamma_fn(200.0)
+    # log_gamma serves the Bessel series test, whose arguments are >= 1
+    for z in (0.25, 0.0, -2.0):
+        with pytest.raises(DomainError):
+            log_gamma(z)
 
 
 # generalized hypergeometric sums, references from mpmath.hyper
