@@ -27,8 +27,9 @@ exits 4 if any check fails.
 
 A config file (--config, key=value lines, '#' comments) may set any of the
 subcommand's settings and `out`, keyed by the flag's name (dashes and
-underscores alike); `energy` also reads the physical units a, u, hbar, mu.
-Each setting is taken from its flag, else the config, else its default.
+underscores alike); `energy` also reads the units a, hbar, mu and the wall
+speed u, which excludes an alpha ratio.  Each setting is taken from its flag,
+else the config, else its default.
 Exit codes: 0 ok, 2 usage or domain error, 3 numeric failure, 4 failed
 verification.
 """
@@ -138,18 +139,20 @@ def _resolve(args) -> dict:
 
 
 def _geometry_from(cfg: dict, alpha: float) -> TrapGeometry:
-    """Physical-unit geometry if the config supplies one, else natural units."""
-    if "u" in cfg:
-        a = float(cfg.get("a", 1.0))
-        u = float(cfg["u"])
-        hbar = float(cfg.get("hbar", 1.0))
-        mu = float(cfg.get("mu", 1.0))
-        if abs(u) > 0.01 * _SPEED_OF_LIGHT:
-            print(f"warning: wall speed u = {u:.4g} is a sizable fraction of the "
-                  "speed of light; this treatment is nonrelativistic (u << c)",
-                  file=sys.stderr)
-        return TrapGeometry(a=a, u=u, hbar=hbar, mu=mu)
-    return TrapGeometry.from_alpha(alpha)
+    """Geometry in the config's units a, hbar, mu (natural units where unset),
+    with the wall speed u from the config if it sets one, else from alpha."""
+    try:
+        a, hbar, mu = (float(cfg.get(key, 1.0)) for key in ("a", "hbar", "mu"))
+        u = float(cfg["u"]) if "u" in cfg else None
+    except ValueError as exc:
+        raise DomainError(f"config unit key: {exc}") from exc
+    if u is None:
+        return TrapGeometry.from_alpha(alpha, a=a, hbar=hbar, mu=mu)
+    if abs(u) > 0.01 * _SPEED_OF_LIGHT:
+        print(f"warning: wall speed u = {u:.4g} is a sizable fraction of the "
+              "speed of light; this treatment is nonrelativistic (u << c)",
+              file=sys.stderr)
+    return TrapGeometry(a=a, u=u, hbar=hbar, mu=mu)
 
 
 def _x(m: int, n: int) -> float:
@@ -171,7 +174,11 @@ def cmd_zeros(args, cfg) -> int:
 def cmd_energy(args, cfg) -> int:
     if args.grid < 2:
         raise DomainError("grid must be >= 2")
-    geom = _geometry_from(cfg, args.alpha_ratio * 0.5 * _x(args.m, args.n))
+    if "u" in cfg and args.alpha_ratio is not None:
+        raise DomainError(f"config key u = {cfg['u']} and alpha ratio {args.alpha_ratio} "
+                          "(--alpha-ratio or alpha_ratio) both set the wall speed; give one")
+    ratio = 1.0 if args.alpha_ratio is None else args.alpha_ratio
+    geom = _geometry_from(cfg, ratio * 0.5 * _x(args.m, args.n))
     if geom.u == 0.0:
         raise DomainError("energy sweep needs a moving wall (alpha_ratio != 0)")
     if (args.xi - 1.0) * geom.u < 0.0:
@@ -247,9 +254,8 @@ def _closed_form_gaps(m: int) -> list[float]:
     """Largest |zero-only block - quadrature table| at n_max 20 for A1, A3, B2
     and the kinetic form m^2 A^{-1} - B0 - C1, in that order.
 
-    The last entry is not an independent check of the kinetic block:
-    `moment_tables` builds C1 from the Bessel equation, so its kinetic form
-    is A1 diag(x^2) to rounding and the gap is the A1 gap scaled by x^2.
+    `moment_tables` forms C1 by parts, so the table side of the kinetic entry
+    is the Dirichlet form m^2 A^{-1} + int s g' g', a quadrature of its own.
     """
     tab = spectral.moment_tables(m, 20)
     absj = spectral._zeros_cached(m, 20)[1]
@@ -264,8 +270,8 @@ def _check_orthonormality():
 
 
 def _check_operator_closed_forms():
-    # independent quadrature route for the A1, A3 and B2 blocks behind the
-    # q^2, p^2 and H matrices; the kinetic entry only rescales the A1 gap
+    # independent quadrature route for the A1, A3, B2 and kinetic blocks
+    # behind the q^2, p^2 and H matrices
     worst = max(max(_closed_form_gaps(m)) for m in (0, 3))
     return worst <= 1e-9, worst, 1e-9
 
@@ -443,7 +449,7 @@ def cmd_verify(args, cfg) -> int:
 _COMMANDS = {
     "zeros": (cmd_zeros, "Bessel zero table", {"m": (int, 0), "nmax": (int, 10)}),
     "energy": (cmd_energy, "energy ratio vs expansion factor, two routes",
-               {"m": (int, 0), "n": (int, 1), "alpha_ratio": (float, 1.0), "xi": (float, 2.0),
+               {"m": (int, 0), "n": (int, 1), "alpha_ratio": (float, None), "xi": (float, 2.0),
                 "grid": (int, 9), "nmax": (int, spectral.N_MAX_DEFAULT)}),
     "moments": (cmd_moments, "diagonal moment integrals vs closed forms",
                 {"m": (int, 0), "nmax": (int, 8)}),

@@ -32,7 +32,6 @@ from .special import (
     bessel_j,
     bessel_j_prime,
     bessel_zeros,
-    log_gamma,
     pfq,
 )
 
@@ -81,8 +80,8 @@ def a_neg1_closed(m: int, n: int) -> ClosedFormResult:
     try:
         f = pfq((m, m + 0.5), (m + 1.0, m + 1.0, 2.0 * m + 1.0), -x * x)
         pre = _regularized_prefactor(
-            [2.0 * m * math.log(x), log_gamma(2.0 * m)],
-            [m * math.log(4.0), 2.0 * log_gamma(m + 1.0), log_gamma(2.0 * m + 1.0)],
+            [2.0 * m * math.log(x), math.lgamma(2.0 * m)],
+            [m * math.log(4.0), 2.0 * math.lgamma(m + 1.0), math.lgamma(2.0 * m + 1.0)],
         )
         return ClosedFormResult(value=pre * f, path=PATH_HYPER)
     except (CancellationError, NonConvergence):
@@ -110,9 +109,9 @@ def a3_closed(m: int, n: int) -> ClosedFormResult:
             return ClosedFormResult(value=0.25 * f, path=PATH_HYPER)
         f = pfq((m + 0.5, m + 2.0), (m + 1.0, m + 3.0, 2.0 * m + 1.0), -x * x)
         pre = _regularized_prefactor(
-            [2.0 * m * math.log(x), math.log(m), math.log(m + 1.0), log_gamma(2.0 * m)],
-            [m * math.log(4.0), log_gamma(m + 1.0), log_gamma(m + 3.0),
-             log_gamma(2.0 * m + 1.0)],
+            [2.0 * m * math.log(x), math.log(m), math.log(m + 1.0), math.lgamma(2.0 * m)],
+            [m * math.log(4.0), math.lgamma(m + 1.0), math.lgamma(m + 3.0),
+             math.lgamma(2.0 * m + 1.0)],
         )
         return ClosedFormResult(value=pre * f, path=PATH_HYPER)
     except (CancellationError, NonConvergence):
@@ -143,7 +142,7 @@ def c1_closed(m: int, n: int) -> ClosedFormResult:
         )
         pre = _regularized_prefactor(
             [2.0 * m * math.log(x)],
-            [m * math.log(4.0), log_gamma(float(m)), log_gamma(m + 1.0),
+            [m * math.log(4.0), math.lgamma(float(m)), math.lgamma(m + 1.0),
              2.0 * math.log(m + 1.0)],
         )
         t0 = -pre * f

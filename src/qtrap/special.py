@@ -1,6 +1,7 @@
 """Real special functions built from scratch: Bessel J_m, its derivative and
-positive zeros, ln Gamma for the series test, and a guarded generalized
-hypergeometric series.
+positive zeros, and a guarded generalized hypergeometric series.  J_m takes
+its ascending series up to one cutoff per order, `_SERIES_CUT[m]`, and the
+Hankel expansion (m <= 1) or Miller recurrence beyond it.
 
 Everything in this module is pure and reentrant.  No caching happens here;
 callers that want tables cache them themselves.
@@ -26,7 +27,6 @@ __all__ = [
     "bessel_j",
     "bessel_j_prime",
     "bessel_zeros",
-    "log_gamma",
     "pfq",
 ]
 
@@ -36,7 +36,6 @@ X_MAX = 1.0e4
 # Ascending series is used while its largest term stays below exp(SERIES_LOG_CAP).
 # long double keeps ~1.1e-19; e^11.4 ~ 9e4 worst-term cancellation => ~1e-14 abs.
 SERIES_LOG_CAP = 11.4
-_TINY = np.finfo(float).tiny
 
 # Hankel asymptotics are only trusted for orders 0 and 1; every other point
 # that the series cannot reach goes through Miller downward recurrence, whose
@@ -60,55 +59,34 @@ class NonConvergence(NumericError):
 
 
 # --------------------------------------------------------------------------
-# ln Gamma (needed by the series eligibility test)
-
-# Lanczos g = 7, 9-term coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def log_gamma(z):
-    """ln Gamma(z) for real z >= 0.5 (scalar or ndarray), Lanczos form."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.5):
-        raise DomainError("log_gamma requires z >= 0.5")
-    zm1 = z - 1.0
-    acc = np.full_like(zm1, _LANCZOS[0])
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc = acc + c / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    out = 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * np.log(t) - t + np.log(acc)
-    return out if out.ndim else float(out)
-
-
-# --------------------------------------------------------------------------
 # Bessel J_m
 
-def _series_eligible(m: int, x: np.ndarray) -> np.ndarray:
-    """Mask of arguments x > 0 whose ascending series keeps cancellation
-    bounded.
+def _series_log_peak(m: int, x: float) -> float:
+    """ln of the largest term of the ascending series of J_m(x), x > 0, which
+    sits at k* = (sqrt(m^2 + x^2) - m) / 2."""
+    kstar = 0.5 * (-m + math.sqrt(m * m + x * x))
+    return ((m + 2.0 * kstar) * math.log(x / 2.0)
+            - math.lgamma(kstar + 1.0) - math.lgamma(m + kstar + 1.0))
 
-    x / 2 underflows to 0 at the smallest subnormal.  The floor at the
-    smallest normal keeps the log finite there, so J_0 takes the series and
-    not the Hankel sum; it leaves every other decision as it was.
-    """
-    kstar = 0.5 * (-m + np.sqrt(m * m + x * x))
-    log_tmax = (
-        (m + 2.0 * kstar) * np.log(np.maximum(x / 2.0, _TINY))
-        - log_gamma(kstar + 1.0)
-        - log_gamma(m + kstar + 1.0)
-    )
-    return log_tmax <= SERIES_LOG_CAP
+
+def _series_cut(m: int) -> float:
+    """Largest x whose series peak stays within exp(SERIES_LOG_CAP), by
+    bisection down to adjacent doubles.  The peak is below the cap for x < 1
+    and rises with x from there, so the series domain is one interval."""
+    lo, hi = 0.0, X_MAX
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if _series_log_peak(m, mid) <= SERIES_LOG_CAP:
+            lo = mid
+        else:
+            hi = mid
+
+
+# The ascending series serves 0 < x <= _SERIES_CUT[m], one cutoff per order
+# (bessel_j accepts m up to M_MAX + 1).
+_SERIES_CUT = tuple(_series_cut(m) for m in range(M_MAX + 2))
 
 
 def _jm_series(m: int, x: np.ndarray) -> np.ndarray:
@@ -223,7 +201,7 @@ def bessel_j(m, x):
     xs = flat[rest]
     if xs.size:
         res = np.empty_like(xs)
-        ser = _series_eligible(m, xs)
+        ser = xs <= _SERIES_CUT[m]
         if np.any(ser):
             res[ser] = _jm_series(m, xs[ser])
         hard = ~ser

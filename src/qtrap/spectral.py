@@ -516,11 +516,13 @@ class MomentTable:
 
         Ak[i, j] = int s^k g_{i+1} g_{j+1} ds      (k = 3, 1, -1)
         Bk[i, j] = int s^k g_{i+1} g'_{j+1} ds     (k = 0, 2)
-        C1[i, j] = int s   g_{i+1} g''_{j+1} ds
+        C1[i, j] = int s   g_{i+1} g''_{j+1} ds = -B0[i, j] - int s g'_{i+1} g'_{j+1} ds
 
-    A tables are symmetric; B and C are not.  At m = 0 the A^{-1} integral
-    diverges and is stored as NaN; it only ever enters through m^2 A^{-1},
-    which vanishes there identically.
+    Because C1 is formed by parts, the radial kinetic form m^2 A^{-1} - B0 -
+    C1 is the Dirichlet form m^2 A^{-1} + int s g' g', a quadrature of its
+    own rather than a rescaled A1.  A tables are symmetric; B and C are not.
+    At m = 0 the A^{-1} integral diverges and is stored as NaN; it only ever
+    enters through m^2 A^{-1}, which vanishes there identically.
     """
 
     m: int
@@ -547,9 +549,10 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
 
     g_n and g'_n are evaluated once per node of a fixed composite GK15 rule
     on the layout adaptive quadrature would start from (`_osc_panels(2 x_max)`
-    panels), g' from J_{m-1} and the g block itself, and each table is one
-    product g^T diag(w s^k) g or g^T diag(w s^k) g'.  A table whose summed per-panel K15 - G7 estimate
-    misses `integrate`'s default target is rebuilt by adaptive `integrate`.
+    panels), g' from J_{m-1} and the g block itself.  Each quadrature is one
+    product g^T diag(w s^k) g, g^T diag(w s^k) g' or, for C1, g'^T diag(w s) g'.
+    A product whose summed per-panel K15 - G7 estimate misses `integrate`'s
+    default target is rebuilt by adaptive `integrate`.
     The rule is the tables' own, not the overlap grid `_bessel_grid`.
     """
     key = (m, n_max)
@@ -571,10 +574,12 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
             return -zeros[None, :] * bessel_j(1, sx)
         return zeros[None, :] * bessel_j(m - 1, sx) - (m / s)[:, None] * j
 
-    def adaptive(k, with_gprime):
+    def adaptive(k, derivatives):
+        # g g, g g' or g' g' for 0, 1 or 2 derivatives
         def f(s):
-            jl = pair(s)
-            jr = gprime(s, jl) if with_gprime else jl
+            j = pair(s)
+            jr = gprime(s, j) if derivatives else j
+            jl = jr if derivatives == 2 else j
             return (s ** k)[:, None, None] * jl[:, :, None] * jr[:, None, :]
         return np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
 
@@ -582,28 +587,22 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
     j = pair(s.ravel())
     gp = gprime(s.ravel(), j)
 
-    def a_m(k):
-        val = _fixed_rule_product(s ** k, w_kron, w_err, j, j)
-        if val is None:
-            val = adaptive(k, False)
-        return 0.5 * (val + val.T)
+    def product(k, derivatives):
+        left, right = ((j, j), (j, gp), (gp, gp))[derivatives]
+        val = _fixed_rule_product(s ** k, w_kron, w_err, left, right)
+        val = adaptive(k, derivatives) if val is None else val
+        return val if derivatives == 1 else 0.5 * (val + val.T)
 
-    def b_m(k):
-        val = _fixed_rule_product(s ** k, w_kron, w_err, j, gp)
-        return adaptive(k, True) if val is None else val
-
-    A3 = a_m(3)
-    A1 = a_m(1)
+    A3 = product(3, 0)
+    A1 = product(1, 0)
     if m == 0:
         Aneg1 = np.full((n_max, n_max), np.nan)
     else:
-        Aneg1 = a_m(-1)
-    B0 = b_m(0)
-    B2 = b_m(2)
-    # Bessel equation: s g'' = -g' - (x^2 s - m^2/s) g, so the C1 table is an
-    # exact combination of the ones above; no further quadrature needed.
-    msq_aneg1 = 0.0 if m == 0 else m * m * Aneg1
-    C1 = -B0 - A1 * (zeros ** 2)[None, :] + msq_aneg1
+        Aneg1 = product(-1, 0)
+    B0 = product(0, 1)
+    B2 = product(2, 1)
+    # by parts, the boundary term s g_i g'_j vanishing at both ends (g_i(1) = 0)
+    C1 = -B0 - product(1, 2)
 
     table = MomentTable(m=m, n_max=n_max, A3=A3, A1=A1, Aneg1=Aneg1, B0=B0, B2=B2, C1=C1)
     _TABLE_CACHE[key] = table

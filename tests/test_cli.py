@@ -219,6 +219,44 @@ def test_physical_units_warn_and_overwhelm_budget(tmp_path, capsys):
     assert "warning" in captured.err and "numeric failure" in captured.err
 
 
+def test_energy_config_units_without_wall_speed(tmp_path, capsys):
+    # a, hbar and mu set the units even when the wall speed comes from the
+    # alpha ratio, not from u
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = 2.0\nhbar = 3.0\n")
+    argv = ["energy", "--nmax", "16", "--grid", "2", "--xi", "1.2"]
+    assert main(argv + ["--config", str(cfg)]) == EXIT_OK
+    meta, _, _ = _parse(capsys.readouterr().out)
+    alpha = 0.5 * bessel_zeros(0, 1).zeros[0]
+    want = spectral.TrapGeometry.from_alpha(alpha, a=2.0, hbar=3.0)
+    assert float(meta["alpha"]) == alpha
+    assert float(meta["u"]) == want.u != spectral.TrapGeometry.from_alpha(alpha).u
+
+
+@pytest.mark.parametrize("text, flags", [("u = 0.5\n", ["--alpha-ratio", "7"]),
+                                         ("u = 0.5\nalpha-ratio = 7\n", []),
+                                         ("u = 0.5\n", ["--alpha-ratio", "1"])],
+                         ids=["flag", "config", "flag-at-default"])
+def test_energy_rejects_wall_speed_set_twice(tmp_path, capsys, text, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = main(["energy", "--nmax", "16", "--grid", "2", "--xi", "1.2", "--config", str(cfg)]
+              + flags)
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.out == ""
+    assert "u = 0.5" in captured.err and "alpha_ratio" in captured.err
+
+
+def test_energy_rejects_unparsable_unit(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = abc\n")
+    rc = main(["energy", "--nmax", "16", "--grid", "2", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.out == "" and "abc" in captured.err
+
+
 def test_usage_error_on_bad_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,4 +1,4 @@
-"""Bessel, log-gamma and hypergeometric routines against independent references."""
+"""Bessel and hypergeometric routines against independent references."""
 
 import math
 import warnings
@@ -18,9 +18,9 @@ from qtrap.special import (
     bessel_j,
     bessel_j_prime,
     bessel_zeros,
-    log_gamma,
     pfq,
 )
+from qtrap.special import _SERIES_CUT, M_MAX, SERIES_LOG_CAP
 
 
 # values from a 30-digit arbitrary-precision evaluation
@@ -181,31 +181,33 @@ def test_zero_table_rejects_bad_input():
         bessel_zeros(0, 0)
 
 
-# gamma values at 22 digits
-GAMMA_REFERENCE = [
-    (0.5, 1.772453850905516027298),
-    (3.7, 4.170651783796604030087),
-    (12.25, 73711509.04676994909085),
-    (170.0, 4.269068009004705274939e+304),
-]
+def _series_peak_pointwise(m, x):
+    """ln of the largest ascending-series term of J_m(x), at k* = (sqrt(m^2 +
+    x^2) - m) / 2, point by point: the series test the per-order cut replaces."""
+    kstar = 0.5 * (-m + np.sqrt(m * m + x * x))
+    lgamma = np.vectorize(math.lgamma)
+    return (m + 2.0 * kstar) * np.log(x / 2.0) - lgamma(kstar + 1.0) - lgamma(m + kstar + 1.0)
 
 
-@pytest.mark.parametrize("z,expected", GAMMA_REFERENCE)
-def test_gamma_reference_values(z, expected):
-    assert_allclose(log_gamma(z), math.log(expected), rtol=1e-14)
+def test_series_cut_matches_pointwise_criterion():
+    rng = np.random.default_rng(11)
+    for m in range(M_MAX + 2):
+        cut = _SERIES_CUT[m]
+        x = np.sort(np.concatenate([rng.uniform(1e-3, 100.0, 4000),
+                                    np.linspace(0.9 * cut, 1.1 * cut, 4001)]))
+        peak = _series_peak_pointwise(m, x)
+        # the peak rises with x from x = 1 on and stays under the cap below it
+        # (at m = 0 it dips first), so one cut per order suffices
+        assert np.all(np.diff(peak[x >= 1.0]) > 0.0), m
+        assert np.all(peak[x < 1.0] <= SERIES_LOG_CAP), m
+        differ = (peak <= SERIES_LOG_CAP) != (x <= cut)
+        assert np.all(np.abs(x[differ] - cut) <= 1e-12 * cut), m
 
 
-def test_log_gamma_against_stdlib():
-    z = np.linspace(0.5, 300.0, 211)
-    ref = np.array([math.lgamma(v) for v in z])
-    assert_allclose(log_gamma(z), ref, rtol=1e-13, atol=1e-13)
-
-
-def test_gamma_domain():
-    # log_gamma serves the Bessel series test, whose arguments are >= 1
-    for z in (0.25, 0.0, -2.0):
-        with pytest.raises(DomainError):
-            log_gamma(z)
+def test_bessel_both_sides_of_series_cut():
+    for m, cut in enumerate(_SERIES_CUT):
+        x = np.array([np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)])
+        assert_allclose(bessel_j(m, x), sps.jv(m, x), rtol=0, atol=2e-14)
 
 
 # generalized hypergeometric sums, references from mpmath.hyper

@@ -455,6 +455,10 @@ def test_fixed_rule_moment_tables_match_adaptive(m, monkeypatch):
             continue  # divergent at m = 0, stored as NaN
         ref[name] = _adaptive_moment(m, 60, k, derivatives)
         assert np.max(np.abs(getattr(tab, name) - ref[name])) < 1e-12, name
+    # C1 by parts: -B0 - int s g'_i g'_j
+    grad = _adaptive_moment(m, 60, 1, 2)
+    c1_ref = -ref["B0"] - grad
+    assert np.max(np.abs(tab.C1 - c1_ref)) < 1e-12 * np.max(np.abs(c1_ref))
     # the zero-only blocks, undone from their |J_{m+1}| normalisation; the
     # kinetic reference is the Dirichlet form int s g'_i g'_j + m^2 A^{-1}
     _, absj = _zeros(m, 60)
@@ -462,7 +466,7 @@ def test_fixed_rule_moment_tables_match_adaptive(m, monkeypatch):
     a1, a3, b2, kinetic = spectral._zero_blocks(m, 60)
     for name, block in (("A1", a1), ("A3", a3), ("B2", b2)):
         assert np.max(np.abs(block * jj - ref[name])) < 1e-12, name
-    k_ref = _adaptive_moment(m, 60, 1, 2) + (m * m * ref["Aneg1"] if m else 0.0)
+    k_ref = grad + (m * m * ref["Aneg1"] if m else 0.0)
     assert np.max(np.abs(kinetic * jj - k_ref)) < 1e-12 * np.max(np.abs(k_ref))
 
 
@@ -483,7 +487,7 @@ def test_moment_tables_fall_back_when_estimate_misses(monkeypatch):
     monkeypatch.setattr(spectral, "REL_TOL", 0.0)
     calls = _spy_integrate(monkeypatch)
     adaptive = moment_tables(1, 8)
-    assert len(calls) == len(_MOMENTS)
+    assert len(calls) == len(_MOMENTS) + 1  # one per quadrature, int s g' g' included
     for name in ("A3", "A1", "Aneg1", "B0", "B2", "C1"):
         assert np.max(np.abs(getattr(adaptive, name) - getattr(on_rule, name))) < 1e-12, name
 
