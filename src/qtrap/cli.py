@@ -148,11 +148,12 @@ def _geometry_from(cfg: dict, alpha: float) -> TrapGeometry:
         raise DomainError(f"config unit key: {exc}") from exc
     if u is None:
         return TrapGeometry.from_alpha(alpha, a=a, hbar=hbar, mu=mu)
+    geom = TrapGeometry(a=a, u=u, hbar=hbar, mu=mu)  # rejects a non-finite u first
     if abs(u) > 0.01 * _SPEED_OF_LIGHT:
         print(f"warning: wall speed u = {u:.4g} is a sizable fraction of the "
               "speed of light; this treatment is nonrelativistic (u << c)",
               file=sys.stderr)
-    return TrapGeometry(a=a, u=u, hbar=hbar, mu=mu)
+    return geom
 
 
 def _x(m: int, n: int) -> float:
@@ -181,6 +182,8 @@ def cmd_energy(args, cfg) -> int:
     geom = _geometry_from(cfg, ratio * 0.5 * _x(args.m, args.n))
     if geom.u == 0.0:
         raise DomainError("energy sweep needs a moving wall (alpha_ratio != 0)")
+    if not math.isfinite(args.xi):
+        raise DomainError(f"xi must be finite, got {args.xi}")
     if (args.xi - 1.0) * geom.u < 0.0:
         raise DomainError(
             f"xi = {args.xi} is not reachable with wall speed u = {geom.u}")

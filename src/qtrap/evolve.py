@@ -130,8 +130,8 @@ def density_profile(m: int, n: int, alpha_ratio: float, xi_target: float,
         raise DomainError("grid_size must be >= 2")
     x, alpha_mn = _mode_scales(m, n)
     alpha = alpha_ratio * alpha_mn
-    if xi_target <= 0.0:
-        raise DomainError("xi_target must be positive")
+    if not 0.0 < xi_target < math.inf:
+        raise DomainError(f"xi_target must be finite and positive, got {xi_target}")
     if alpha == 0.0:
         if xi_target != 1.0:
             raise DomainError("a static wall (alpha_ratio = 0) cannot reach xi != 1")
@@ -176,6 +176,10 @@ def density_timeseries(m: int, n: int, alpha_ratio: float, eta_obs: float,
         raise DomainError("steps must be >= 2")
     if alpha_ratio <= 0.0:
         raise DomainError("time series needs an expanding wall: alpha_ratio > 0")
+    if not 0.0 < T_max < math.inf:
+        raise DomainError(f"T_max must be finite and positive, got {T_max}")
+    if not math.isfinite(eta_obs):
+        raise DomainError(f"eta_obs must be finite, got {eta_obs}")
     x, alpha_mn = _mode_scales(m, n)
     lam = 2.0 * math.pi / x
     rho0 = eta_obs * lam

@@ -23,25 +23,28 @@ against the overlap matrix
     I_{m n' n''}(t, alpha) = int_0^1 s exp(-i alpha xi s^2)
                              J_m(x_mn' s) J_m(x_mn'' s) ds.
 
-The Bessel block J_m(x_mn s_j) is tabulated once per (m, N_max) on the nodes
-s_j of a fixed composite GK15 rule over [0, 1]; only the phase depends on
-(t, alpha), so each overlap matrix is one weighted product of that block with
-itself.  The grid carries its own per-panel K15 - G7 error estimate, and the
-overlap falls back to adaptive quadrature when the estimate misses its target
-or the phase outruns the grid.  The real-space route `b_coeffs_direct`, which
-the two-path check holds against `b_coeffs`, never reads the grid: it
-integrates adaptively on its own panel layout.
+Both kinds of radial integral of Bessel blocks go through one product,
+`_gram`: int w(s) h^T h' ds on a `_Rule`, a fixed composite GK15 rule over
+[0, 1] with the blocks tabulated on its nodes.  It carries its own per-panel
+K15 - G7 error estimate and falls back to adaptive quadrature when the
+estimate misses its target or the weight's phase outruns the rule.  The
+overlap rule holds J_m(x_mn s_j) once per (m, N_max); only the phase depends
+on (t, alpha), so each overlap matrix is one weighted product of that block
+with itself.  The real-space route `b_coeffs_direct`, which the two-path
+check holds against `b_coeffs`, never reads the rule: it integrates
+adaptively on its own panel layout.
 
 Operator matrix elements in that moving basis are elementary in the zeros
 alone (`_zero_blocks`).  The six Bessel moment integrals of `moment_tables`,
-on a fixed GK15 rule of their own under the same error estimate and
-fallback, are the quadrature reference these and the oracle's closed forms
-are held against; no operator reads them.
+products on a rule of their own with the J and x J' blocks, are the
+quadrature reference these and the oracle's closed forms are held against;
+no operator reads them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,13 +106,18 @@ class TrapGeometry:
     mu: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.hbar <= 0.0 or self.mu <= 0.0:
-            raise DomainError("a, hbar and mu must all be positive")
+        for name in ("a", "hbar", "mu"):  # a NaN fails `0 < x` as well
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not math.isfinite(self.u):
+            raise DomainError(f"u must be finite, got {self.u}")
 
     @classmethod
     def from_alpha(cls, alpha: float, a: float = 1.0, hbar: float = 1.0,
                    mu: float = 1.0) -> "TrapGeometry":
         """Geometry with the dimensionless wall-speed parameter set directly."""
+        if not math.isfinite(alpha):
+            raise DomainError(f"alpha must be finite, got {alpha}")
         u = 2.0 * hbar * alpha / (mu * a)
         return cls(a=a, u=u, hbar=hbar, mu=mu)
 
@@ -205,58 +213,62 @@ def overlap_I(m: int, n_row: int, n_col: int, t: float, alpha: float,
 
 
 @dataclass(frozen=True)
-class _BesselGrid:
-    """J_m(x_mn s) on the nodes of a fixed composite GK15 rule over [0, 1].
+class _Rule:
+    """Bessel blocks tabulated on the nodes of a fixed composite GK15 rule
+    over [0, 1].
 
-    `j` holds the block with one row per node (panel-major) and one column
-    per zero.  `max_phase` is the largest wall phase |alpha| xi at which every
-    panel still sees at most pi of total phase.
+    `blocks(s)` evaluates the blocks at nodes s, each with one row per node
+    and one column per zero; `tab` holds them on the rule's own nodes,
+    panel-major.  `phase` is the total phase 2 x_max that a product of two
+    blocks carries.
     """
 
     s: np.ndarray          # (panels, 15) nodes
     w_kron: np.ndarray     # (panels, 15) K15 weights
     w_err: np.ndarray      # (panels, 15) K15 - G7 weights
-    j: np.ndarray          # (panels * 15, n_max)
-    max_phase: float
+    blocks: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    tab: tuple[np.ndarray, ...]
+    phase: float
 
 
-_GRID_CACHE: dict[tuple[int, int], _BesselGrid] = {}
+def _rule(blocks, phase: float, panels: int) -> _Rule:
+    s, w_kron, w_err = gk15_panels(0.0, 1.0, panels)
+    return _Rule(s, w_kron, w_err, blocks, blocks(s.ravel()), phase)
+
+
+_GRID_CACHE: dict[tuple[int, int], _Rule] = {}
 
 # Per-panel error matrices are formed this many elements at a time.
 _ERR_CHUNK_ELEMS = 250_000
 
 
-def _bessel_grid(m: int, n_max: int) -> _BesselGrid:
-    """Bessel table for angular index m and zeros 1..n_max, built once.
+def _bessel_grid(m: int, n_max: int) -> _Rule:
+    """The overlap rule, with the one block J_m(x_mn s) for zeros 1..n_max,
+    built once per (m, n_max).
 
     The panel count resolves a wall phase as large as the Bessel phase
     2 x_max itself: 376 rad at m = 0, n_max = 60, several times the largest
     wall phase in the acceptance battery.
     """
-    key = (m, n_max)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
+    if (m, n_max) not in _GRID_CACHE:
         zeros, _ = _zeros_cached(m, n_max)
-        bessel_phase = 2.0 * float(zeros[-1])
-        panels = _osc_panels(2.0 * bessel_phase)
-        s, w_kron, w_err = gk15_panels(0.0, 1.0, panels)
-        j = bessel_j(m, s.reshape(-1, 1) * zeros[None, :])
-        grid = _BesselGrid(s=s, w_kron=w_kron, w_err=w_err, j=j,
-                           max_phase=math.pi * panels - bessel_phase)
-        _GRID_CACHE[key] = grid
-    return grid
+        phase = 2.0 * float(zeros[-1])
+        _GRID_CACHE[m, n_max] = _rule(lambda s: (bessel_j(m, s[:, None] * zeros[None, :]),),
+                                      phase, _osc_panels(2.0 * phase))
+    return _GRID_CACHE[m, n_max]
 
 
-def _fixed_rule_product(weight: np.ndarray, w_kron: np.ndarray, w_err: np.ndarray,
-                        left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
-    """int left^T weight right on a fixed composite GK15 rule, or None.
+def _gram(rule: _Rule, weight, left: int = 0, right: int = 0,
+          phase: float = 0.0) -> np.ndarray:
+    """int_0^1 weight(s) h_left(s)^T h_right(s) ds, h_k the rule's k-th block.
 
-    `weight`, `w_kron` and `w_err` have one row per panel and one column per
-    node (as `gk15_panels` returns them); `left` and `right` hold one row per
-    node, panel-major.  The per-panel K15 - G7 matrices are formed
-    `_ERR_CHUNK_ELEMS` elements at a time; their worst components are summed
-    as `integrate` does, and None is returned when that sum misses
-    `integrate`'s default target, so the caller can fall back to it.
+    `phase` is the weight's own total phase.  The product is taken on the
+    rule when its panels see at most pi each of that phase and the blocks'
+    together, and the per-panel K15 - G7 matrices (formed `_ERR_CHUNK_ELEMS`
+    elements at a time, their worst components summed as `integrate` does)
+    meet `integrate`'s default target.  Otherwise it is adaptive `integrate`
+    from `_osc_panels` of the total phase.  A block's product with itself
+    has an exactly symmetric integrand and is symmetrized.
     """
     def sandwich(d, lb, rb):
         # lb^T diag(d) rb over real blocks with leading batch axes; a complex
@@ -267,52 +279,38 @@ def _fixed_rule_product(weight: np.ndarray, w_kron: np.ndarray, w_err: np.ndarra
                     + 1j * np.matmul(lt * d.imag[..., None, :], rb))
         return np.matmul(lt * d[..., None, :], rb)
 
-    panels, nodes = w_kron.shape
-    mat = sandwich((weight * w_kron).ravel(), left, right)
-    diff = weight * w_err
-    lp = left.reshape(panels, nodes, -1)
-    rp = right.reshape(panels, nodes, -1)
-    step = max(1, _ERR_CHUNK_ELEMS // (lp.shape[2] * rp.shape[2]))
-    err = 0.0
-    for lo in range(0, panels, step):
-        e = np.abs(sandwich(diff[lo:lo + step], lp[lo:lo + step], rp[lo:lo + step]))
-        err += float(e.reshape(e.shape[0], -1).max(axis=1).sum())
-    if err > max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat)))):
-        return None
-    return mat
+    mat = None
+    panels, nodes = rule.w_kron.shape
+    if phase <= math.pi * panels - rule.phase:
+        w = weight(rule.s)
+        lb, rb = rule.tab[left], rule.tab[right]
+        mat = sandwich((w * rule.w_kron).ravel(), lb, rb)
+        diff = w * rule.w_err
+        lp = lb.reshape(panels, nodes, -1)
+        rp = rb.reshape(panels, nodes, -1)
+        step = max(1, _ERR_CHUNK_ELEMS // (lp.shape[2] * rp.shape[2]))
+        err = 0.0
+        for lo in range(0, panels, step):
+            e = np.abs(sandwich(diff[lo:lo + step], lp[lo:lo + step], rp[lo:lo + step]))
+            err += float(e.reshape(e.shape[0], -1).max(axis=1).sum())
+        if err > max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat)))):
+            mat = None
+    if mat is None:
+        def f(s):
+            h = rule.blocks(s)
+            return weight(s)[:, None, None] * h[left][:, :, None] * h[right][:, None, :]
 
-
-def _i_matrix_on_grid(grid: _BesselGrid, xi_t: float, alpha: float) -> np.ndarray | None:
-    """J^T diag(w s e^{-i alpha xi s^2}) J on the grid, or None if the grid's
-    error estimate misses `integrate`'s default target."""
-    weight = grid.s * np.exp(-1j * alpha * xi_t * grid.s ** 2)
-    return _fixed_rule_product(weight, grid.w_kron, grid.w_err, grid.j, grid.j)
+        res = integrate(f, 0.0, 1.0, initial_panels=_osc_panels(phase + rule.phase))
+        mat = np.asarray(res.value)
+    return 0.5 * (mat + mat.T) if left == right else mat
 
 
 def _i_matrix(m: int, xi_t: float, alpha: float, n_max: int) -> np.ndarray:
-    """Full (n_max, n_max) overlap matrix at expansion factor xi_t.
-
-    Taken from the tabulated Bessel grid when the wall phase |alpha| xi_t is
-    within what the grid resolves and the grid's own error estimate meets
-    `integrate`'s default target; otherwise by adaptive `integrate`.
-    """
-    grid = _bessel_grid(m, n_max)
-    mat = None
-    if abs(alpha) * xi_t <= grid.max_phase:
-        mat = _i_matrix_on_grid(grid, xi_t, alpha)
-    if mat is None:
-        zeros, _ = _zeros_cached(m, n_max)
-        x_hi = float(zeros[-1])
-
-        def f(s):
-            j = bessel_j(m, s[:, None] * zeros[None, :])
-            w = s * np.exp(-1j * alpha * xi_t * s * s)
-            return w[:, None, None] * j[:, :, None] * j[:, None, :]
-
-        res = integrate(f, 0.0, 1.0,
-                        initial_panels=_osc_panels(abs(alpha) * xi_t + 2.0 * x_hi))
-        mat = np.asarray(res.value)
-    return 0.5 * (mat + mat.swapaxes(0, 1))  # integrand is exactly symmetric
+    """Full (n_max, n_max) overlap matrix at expansion factor xi_t, a `_gram`
+    of the overlap rule under the wall phase |alpha| xi_t."""
+    return _gram(_bessel_grid(m, n_max),
+                 lambda s: s * np.exp(-1j * alpha * xi_t * s ** 2),
+                 phase=abs(alpha) * xi_t)
 
 
 # --------------------------------------------------------------------------
@@ -411,9 +409,9 @@ def b_coeffs(state: SpectralState, t: float, geom: TrapGeometry) -> np.ndarray:
 
     |b_n'|^2 is the occupation of instantaneous level n', so for a unitary
     evolution sum |b|^2 equals sum |c|^2 up to truncation.  The overlap
-    matrix comes from the tabulated Bessel grid under its K15 - G7 error
-    estimate, or from adaptive quadrature where the grid does not suffice
-    (see `_i_matrix`).
+    matrix comes from the tabulated overlap rule under its K15 - G7 error
+    estimate, or from adaptive quadrature where the rule does not suffice
+    (see `_gram`).
     """
     _check_state_geom(state, geom)
     zeros, absj = _zeros_cached(state.m, state.n_max)
@@ -486,8 +484,8 @@ def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
     Independent numerical route to the same coefficients as `b_coeffs`: the
     evolved wave is reconstructed on quadrature abscissae from the exact
     modes and projected against each instantaneous eigenstate by adaptive
-    integration on its own panel layout; it never reads the tabulated Bessel
-    grid that `b_coeffs` uses.  The Bessel block at each node serves both the
+    integration on its own panel layout; it never reads the tabulated overlap
+    rule that `b_coeffs` uses.  The Bessel block at each node serves both the
     reconstruction and the projection.
     With `drop_moving_phase` the reconstruction is knowingly wrong and the
     agreement with `b_coeffs` must break down.
@@ -547,62 +545,39 @@ _TABLE_CACHE: dict[tuple[int, int], MomentTable] = {}
 def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
     """Moment tables for angular index m with radial indices 1..n_max.
 
-    g_n and g'_n are evaluated once per node of a fixed composite GK15 rule
-    on the layout adaptive quadrature would start from (`_osc_panels(2 x_max)`
-    panels), g' from J_{m-1} and the g block itself.  Each quadrature is one
-    product g^T diag(w s^k) g, g^T diag(w s^k) g' or, for C1, g'^T diag(w s) g'.
-    A product whose summed per-panel K15 - G7 estimate misses `integrate`'s
-    default target is rebuilt by adaptive `integrate`.
-    The rule is the tables' own, not the overlap grid `_bessel_grid`.
+    Each quadrature is one `_gram` of the blocks g and g' under the weight
+    s^k, on a rule of the tables' own (not the overlap rule `_bessel_grid`)
+    laid out as adaptive quadrature would start (`_osc_panels(2 x_max)`
+    panels).  g' is formed from J_{m-1} and the g block itself.
     """
     key = (m, n_max)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
     zeros, _ = _zeros_cached(m, n_max)
-    x_hi = float(zeros[-1])
-    panels = _osc_panels(2.0 * x_hi)
 
-    def pair(s):
-        return bessel_j(m, s[:, None] * zeros[None, :])
-
-    def gprime(s, j):
-        # x J_m'(x s) from the J_m block j on the same nodes:
+    def blocks(s):
+        # g = J_m(x s) and g' = x J_m'(x s), the latter from the J_m block:
         # J_m' = J_{m-1} - (m / z) J_m, and J_0' = -J_1
         sx = s[:, None] * zeros[None, :]
+        j = bessel_j(m, sx)
         if m == 0:
-            return -zeros[None, :] * bessel_j(1, sx)
-        return zeros[None, :] * bessel_j(m - 1, sx) - (m / s)[:, None] * j
+            return j, -zeros[None, :] * bessel_j(1, sx)
+        return j, zeros[None, :] * bessel_j(m - 1, sx) - (m / s)[:, None] * j
 
-    def adaptive(k, derivatives):
-        # g g, g g' or g' g' for 0, 1 or 2 derivatives
-        def f(s):
-            j = pair(s)
-            jr = gprime(s, j) if derivatives else j
-            jl = jr if derivatives == 2 else j
-            return (s ** k)[:, None, None] * jl[:, :, None] * jr[:, None, :]
-        return np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
+    phase = 2.0 * float(zeros[-1])
+    rule = _rule(blocks, phase, _osc_panels(phase))
 
-    s, w_kron, w_err = gk15_panels(0.0, 1.0, panels)
-    j = pair(s.ravel())
-    gp = gprime(s.ravel(), j)
+    def product(k, left, right):  # blocks 0 = g, 1 = g'
+        return _gram(rule, lambda s: s ** k, left, right)
 
-    def product(k, derivatives):
-        left, right = ((j, j), (j, gp), (gp, gp))[derivatives]
-        val = _fixed_rule_product(s ** k, w_kron, w_err, left, right)
-        val = adaptive(k, derivatives) if val is None else val
-        return val if derivatives == 1 else 0.5 * (val + val.T)
-
-    A3 = product(3, 0)
-    A1 = product(1, 0)
-    if m == 0:
-        Aneg1 = np.full((n_max, n_max), np.nan)
-    else:
-        Aneg1 = product(-1, 0)
-    B0 = product(0, 1)
-    B2 = product(2, 1)
+    A3 = product(3, 0, 0)
+    A1 = product(1, 0, 0)
+    Aneg1 = np.full((n_max, n_max), np.nan) if m == 0 else product(-1, 0, 0)
+    B0 = product(0, 0, 1)
+    B2 = product(2, 0, 1)
     # by parts, the boundary term s g_i g'_j vanishing at both ends (g_i(1) = 0)
-    C1 = -B0 - product(1, 2)
+    C1 = -B0 - product(1, 1, 1)
 
     table = MomentTable(m=m, n_max=n_max, A3=A3, A1=A1, Aneg1=Aneg1, B0=B0, B2=B2, C1=C1)
     _TABLE_CACHE[key] = table

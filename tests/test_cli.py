@@ -257,6 +257,39 @@ def test_energy_rejects_unparsable_unit(tmp_path, capsys):
     assert captured.out == "" and "abc" in captured.err
 
 
+_NON_FINITE = {
+    # id: (argv, config file text or None, quantity the error names)
+    "density-r-alpha-ratio-nan": (["density-r", "--alpha-ratio", "nan"], None, "alpha"),
+    "density-t-alpha-ratio-inf": (["density-t", "--alpha-ratio", "inf"], None, "alpha"),
+    "density-t-t-max-negative": (["density-t", "--t-max", "-5"], None, "T_max"),
+    "density-t-t-max-nan": (["density-t", "--t-max", "nan"], None, "T_max"),
+    "density-t-t-max-inf": (["density-t", "--t-max", "inf"], None, "T_max"),
+    "density-t-eta-obs-nan": (["density-t", "--eta-obs", "nan"], None, "eta_obs"),
+    "density-r-xi-inf": (["density-r", "--xi", "inf"], None, "xi_target"),
+    "energy-xi-inf": (["energy", "--xi", "inf"], None, "xi"),
+    "config-a-nan": (["energy"], "a = nan", "a"),
+    "config-u-nan": (["energy"], "u = nan", "u"),
+    "config-hbar-inf": (["energy"], "hbar = inf", "hbar"),
+    "config-u-inf": (["energy"], "u = inf", "u"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the case
+@pytest.mark.parametrize("case", list(_NON_FINITE))
+def test_non_finite_inputs_exit_usage(tmp_path, capsys, case):
+    argv, text, quantity = _NON_FINITE[case]
+    if text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one line that names the quantity: no traceback, warning or second message
+    assert captured.err.startswith(f"error: {quantity} must be finite")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_error_on_bad_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -75,6 +75,16 @@ def test_geometry_domain_errors():
         crawling.tau(1.0 / crawling.u)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a", "u", "hbar", "mu"])
+def test_geometry_rejects_non_finite_units(name, value):
+    # NaN fails every comparison: only a test that NaN fails rejects it
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        TrapGeometry(**{name: value})
+    with pytest.raises(DomainError, match="^alpha must be finite"):
+        TrapGeometry.from_alpha(value)
+
+
 @pytest.mark.parametrize("n", [-1, 0])
 def test_energy_rejects_non_positive_radial_index(n):
     # n = -1 used to slice the zero table to x_{0,58}, n = 0 to an empty one
@@ -167,7 +177,9 @@ def test_tabulated_overlap_matches_adaptive(monkeypatch):
 def test_overlap_beyond_grid_falls_back_to_adaptive(monkeypatch):
     geom = TrapGeometry.from_alpha(250.0)
     t = 0.6 / geom.u  # xi = 1.6, wall phase 400
-    assert abs(geom.alpha) * geom.xi(t) > spectral._bessel_grid(0, 60).max_phase
+    x_max = _zeros(0, 60)[0][-1]
+    panels = spectral._bessel_grid(0, 60).s.shape[0]
+    assert abs(geom.alpha) * geom.xi(t) + 2.0 * x_max > math.pi * panels
     calls = _spy_integrate(monkeypatch)
     mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 60)
     assert len(calls) == 1
