@@ -347,6 +347,9 @@ def long_time_radial(m: int, n: int, alpha: float, rho_obs: float, t: float,
 
     Valid once the wall is far past the observation point (rho_obs << u t).
     """
+    for name, value in (("alpha", alpha), ("t", t)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if alpha <= 0.0:
         raise DomainError("the late-time envelope needs an expanding wall")
     u = 2.0 * alpha

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,17 +42,16 @@ PATH_HYPER = "hypergeometric"
 PATH_M0 = "special_case_m0"
 PATH_QUAD = "quadrature_fallback"
 
-_ZCACHE: dict[int, np.ndarray] = {}
+
+@cache
+def _zero_table(m: int, size: int) -> np.ndarray:
+    return bessel_zeros(m, size).zeros
 
 
 def _zero(m: int, n: int) -> float:
     if n < 1:
         raise DomainError(f"radial index must be >= 1, got {n}")
-    have = _ZCACHE.get(m)
-    if have is None or have.size < n:
-        _ZCACHE[m] = bessel_zeros(m, max(n, 20)).zeros
-        have = _ZCACHE[m]
-    return float(have[n - 1])
+    return float(_zero_table(m, max(n, 20))[n - 1])
 
 
 def _j_signed(order: int, x: float) -> float:

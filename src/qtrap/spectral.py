@@ -38,7 +38,8 @@ Operator matrix elements in that moving basis are elementary in the zeros
 alone (`_zero_blocks`).  The six Bessel moment integrals of `moment_tables`,
 products on a rule of their own with the J and x J' blocks, are the
 quadrature reference these and the oracle's closed forms are held against;
-no operator reads them.
+no operator reads them.  Zero tables, overlap rules and moment tables are
+each built once per (m, size) by a `functools.cache` builder.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -158,23 +160,22 @@ class TrapGeometry:
 
 
 # --------------------------------------------------------------------------
-# Cached zero tables
+# Zero tables
 
-_ZERO_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@cache
+def _zero_table(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(zeros x_mn, |J_{m+1}(x_mn)|) for n = 1..size."""
+    zeros = bessel_zeros(m, size).zeros
+    return zeros, np.abs(bessel_j(m + 1, zeros))
 
 
 def _zeros_cached(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(zeros x_mn, |J_{m+1}(x_mn)|) for n = 1..count, grown monotonically."""
+    """(zeros x_mn, |J_{m+1}(x_mn)|) for n = 1..count, sliced from the table
+    of max(count, N_MAX_DEFAULT) zeros."""
     if count < 1:  # a slice [:count] would hand back the wrong zeros or none
         raise DomainError(f"radial index n = {count} at m = {m}: modes are numbered from n = 1")
-    have = _ZERO_CACHE.get(m)
-    if have is None or have[0].size < count:
-        grow = max(count, N_MAX_DEFAULT)
-        table = bessel_zeros(m, grow)
-        absj = np.abs(bessel_j(m + 1, table.zeros))
-        _ZERO_CACHE[m] = (table.zeros, absj)
-        have = _ZERO_CACHE[m]
-    return have[0][:count], have[1][:count]
+    zeros, absj = _zero_table(m, max(count, N_MAX_DEFAULT))
+    return zeros[:count], absj[:count]
 
 
 def _osc_panels(radians: float) -> int:
@@ -199,6 +200,8 @@ def overlap_I(m: int, n_row: int, n_col: int, t: float, alpha: float,
     """
     if n_row < 1 or n_col < 1:
         raise DomainError("mode indices are 1-based and must be >= 1")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     xi_t = geom.xi(t)
     n_hi = max(n_row, n_col)
     zeros, _ = _zeros_cached(m, n_hi)
@@ -236,26 +239,22 @@ def _rule(blocks, phase: float, panels: int) -> _Rule:
     return _Rule(s, w_kron, w_err, blocks, blocks(s.ravel()), phase)
 
 
-_GRID_CACHE: dict[tuple[int, int], _Rule] = {}
-
 # Per-panel error matrices are formed this many elements at a time.
 _ERR_CHUNK_ELEMS = 250_000
 
 
+@cache
 def _bessel_grid(m: int, n_max: int) -> _Rule:
-    """The overlap rule, with the one block J_m(x_mn s) for zeros 1..n_max,
-    built once per (m, n_max).
+    """The overlap rule, with the one block J_m(x_mn s) for zeros 1..n_max.
 
     The panel count resolves a wall phase as large as the Bessel phase
     2 x_max itself: 376 rad at m = 0, n_max = 60, several times the largest
     wall phase in the acceptance battery.
     """
-    if (m, n_max) not in _GRID_CACHE:
-        zeros, _ = _zeros_cached(m, n_max)
-        phase = 2.0 * float(zeros[-1])
-        _GRID_CACHE[m, n_max] = _rule(lambda s: (bessel_j(m, s[:, None] * zeros[None, :]),),
-                                      phase, _osc_panels(2.0 * phase))
-    return _GRID_CACHE[m, n_max]
+    zeros, _ = _zeros_cached(m, n_max)
+    phase = 2.0 * float(zeros[-1])
+    return _rule(lambda s: (bessel_j(m, s[:, None] * zeros[None, :]),),
+                 phase, _osc_panels(2.0 * phase))
 
 
 def _gram(rule: _Rule, weight, left: int = 0, right: int = 0,
@@ -539,9 +538,6 @@ class MomentTable:
             object.__setattr__(self, name, arr)
 
 
-_TABLE_CACHE: dict[tuple[int, int], MomentTable] = {}
-
-
 def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
     """Moment tables for angular index m with radial indices 1..n_max.
 
@@ -550,10 +546,11 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
     laid out as adaptive quadrature would start (`_osc_panels(2 x_max)`
     panels).  g' is formed from J_{m-1} and the g block itself.
     """
-    key = (m, n_max)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _moment_tables(m, n_max)
+
+
+@cache
+def _moment_tables(m: int, n_max: int) -> MomentTable:
     zeros, _ = _zeros_cached(m, n_max)
 
     def blocks(s):
@@ -579,9 +576,7 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
     # by parts, the boundary term s g_i g'_j vanishing at both ends (g_i(1) = 0)
     C1 = -B0 - product(1, 1, 1)
 
-    table = MomentTable(m=m, n_max=n_max, A3=A3, A1=A1, Aneg1=Aneg1, B0=B0, B2=B2, C1=C1)
-    _TABLE_CACHE[key] = table
-    return table
+    return MomentTable(m=m, n_max=n_max, A3=A3, A1=A1, Aneg1=Aneg1, B0=B0, B2=B2, C1=C1)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtrap import cli, spectral
+from qtrap import cli, oracle, spectral
 from qtrap.cli import EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from qtrap.special import bessel_zeros
 
@@ -353,13 +353,44 @@ def test_verify_drop_phase_negative_control(monkeypatch, capsys):
     assert report["other"]["pass"] is True
 
 
-def test_verify_checks_build_no_full_size_tables(monkeypatch):
-    # the operator checks read the zeros alone; the quadrature tables are
-    # built only at the sizes the orthonormality and oracle checks compare
-    monkeypatch.setattr(spectral, "_TABLE_CACHE", {})
+_BUILDERS = ((spectral, "_zero_table"), (spectral, "_bessel_grid"),
+             (spectral, "_moment_tables"), (oracle, "_zero_table"))
+
+
+def _run_checks_recording_builds(monkeypatch):
+    """Run every verify check; return {(module, name): (builder, [(m, size)
+    asked, ...])} for each builder in `_BUILDERS`."""
+    asked = {}
+    for module, name in _BUILDERS:
+        builder = getattr(module, name)
+        keys = []
+        asked[module, name] = builder, keys
+
+        def record(*key, builder=builder, keys=keys):
+            keys.append(key)
+            return builder(*key)
+
+        monkeypatch.setattr(module, name, record)
     for name, fn in cli._CHECKS:
         assert fn()[0], name
-    assert [key for key in spectral._TABLE_CACHE if key[1] >= 60] == []
+    return asked
+
+
+def test_verify_checks_build_no_full_size_tables(cold_memo, monkeypatch):
+    # the operator checks read the zeros alone; the quadrature tables are
+    # built only at the sizes the orthonormality and oracle checks compare
+    _, keys = _run_checks_recording_builds(monkeypatch)[spectral, "_moment_tables"]
+    assert [key for key in keys if key[1] >= 60] == []
+
+
+def test_verify_checks_build_each_basis_key_once(cold_memo, monkeypatch):
+    asked = _run_checks_recording_builds(monkeypatch)
+    for (module, name), (builder, keys) in asked.items():
+        assert builder.cache_info().misses == len(set(keys)), (module.__name__, name)
+    assert set(asked[spectral, "_zero_table"][1]) == {(m, 60) for m in (0, 1, 2, 3, 5)}
+    assert set(asked[spectral, "_bessel_grid"][1]) == {(0, 4), (0, 60)}
+    assert set(asked[spectral, "_moment_tables"][1]) == {(0, 4), (1, 4), (2, 4), (3, 4),
+                                                         (0, 20), (3, 20)}
 
 
 def test_verify_out_file(monkeypatch, tmp_path):

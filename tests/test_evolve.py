@@ -290,3 +290,11 @@ def test_long_time_envelope_bounds_amplitude():
     actual = abs(psi_exact(0, 1, rho_obs, 0.0, t, geom)) * math.sqrt(2.0 * math.pi)
     assert 0.0 < actual <= env
     assert env < 10.0 * actual  # same order, not a vacuous bound
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "t"])
+def test_long_time_envelope_rejects_non_finite(name, value):
+    args = {"alpha": 3.0, "t": 40.0, name: value}
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        long_time_radial(0, 1, args["alpha"], 2.0, args["t"])
