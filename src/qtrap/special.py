@@ -1,7 +1,8 @@
 """Real special functions built from scratch: Bessel J_m, its derivative and
 positive zeros, and a guarded generalized hypergeometric series.  J_m takes
-its ascending series up to one cutoff per order, `_SERIES_CUT[m]`, and the
-Hankel expansion (m <= 1) or Miller recurrence beyond it.
+its ascending series up to one cutoff per order, `_SERIES_CUT[m]`.  Beyond
+it, every order takes J_0 and J_1 from the Hankel expansion and recurs upward
+to m.
 
 Everything in this module is pure and reentrant.  No caching happens here;
 callers that want tables cache them themselves.
@@ -37,9 +38,11 @@ X_MAX = 1.0e4
 # long double keeps ~1.1e-19; e^11.4 ~ 9e4 worst-term cancellation => ~1e-14 abs.
 SERIES_LOG_CAP = 11.4
 
-# Hankel asymptotics are only trusted for orders 0 and 1; every other point
-# that the series cannot reach goes through Miller downward recurrence, whose
-# start offset sqrt(40*top) keeps the seeded growth inside long double range.
+# Past the series cut every order recurs upward from the Hankel J_0 and J_1.
+# The recurrence is stable while k < x (Gautschi, SIAM Rev. 9, 1967); it runs
+# past k = x only for m >= 30, where the cut keeps x above 0.85 m (tests pin
+# that band).  Points go through in slices of this many, to bound memory.
+_HANKEL_SLICE = 8192
 
 
 class DomainError(ValueError):
@@ -106,69 +109,56 @@ def _jm_series(m: int, x: np.ndarray) -> np.ndarray:
     return total.astype(float)
 
 
-def _hankel_pq(m01: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P, Q asymptotic sums for order 0 or 1, truncated at the smallest term."""
-    mu = 4.0 * m01 * m01
-    xl = x.astype(np.longdouble)
-    p = np.ones_like(xl)
-    q = np.zeros_like(xl)
-    term = np.ones_like(xl)
-    prev = np.full_like(xl, np.inf)
-    alive = np.ones(x.shape, dtype=bool)
-    for j in range(1, 40):
-        term = term * np.longdouble(mu - (2.0 * j - 1.0) ** 2) / (np.longdouble(8.0) * xl * j)
-        # once terms grow the expansion has bottomed out; freeze those entries
-        alive &= np.abs(term) < prev
-        if not np.any(alive):
-            break
-        prev = np.where(alive, np.abs(term), prev)
+def _hankel_pq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hankel P and Q sums of orders 0 and 1, rows 0 and 1, in float64.
+
+    The terms shrink while |mu - (2j-1)^2| < 8xj and grow from there, so each
+    entry stops at its smallest term: the first ratio that reaches 1 in
+    magnitude is set to zero, and that entry takes no more terms.
+    """
+    mu = np.array([[0.0], [4.0]])
+    p = np.ones((2, x.size))
+    q = np.zeros((2, x.size))
+    term = np.ones((2, x.size))
+    for j in range(1, 64):
+        ratio = (mu - (2.0 * j - 1.0) ** 2) / (8.0 * j * x)
+        ratio[np.abs(ratio) >= 1.0] = 0.0
+        term *= ratio
         sgn = -1.0 if (j // 2) % 2 else 1.0
         if j % 2:  # odd terms feed Q
-            q = np.where(alive, q + sgn * term, q)
+            q += sgn * term
         else:
-            p = np.where(alive, p + sgn * term, p)
-    return p.astype(float), q.astype(float)
+            p += sgn * term
+        # smaller terms are lost against P ~ 1, relative to J's amplitude
+        if not np.any(np.abs(term) > 1e-18):
+            break
+    return p, q
 
 
-def _jm_asymptotic(m01: int, x: np.ndarray) -> np.ndarray:
-    """Hankel expansion, orders 0 and 1 only."""
-    xl = x.astype(np.longdouble)
-    p, q = _hankel_pq(m01, x)
-    chi = xl - (0.5 * m01 + 0.25) * np.longdouble(math.pi)
-    amp = np.sqrt(np.longdouble(2.0) / (np.longdouble(math.pi) * xl))
-    return (amp * (p * np.cos(chi) - q * np.sin(chi))).astype(float)
+def _jm_hankel_recurrence(m: int, x: np.ndarray) -> np.ndarray:
+    """J_m(x) past the series cut: J_0 and J_1 from the Hankel expansion,
+    then J_{k+1} = (2k/x) J_k - J_{k-1} up to order m.
 
-
-def _jm_miller(m: int, x: np.ndarray) -> np.ndarray:
-    """Downward recurrence normalized by J_0 + 2*sum J_2k = 1.
-
-    Each element gets its own start index: seeding everything at the global
-    maximum would let entries with small x grow through long double range
-    before their own scale is reached.
+    Phase, amplitude and recurrence are in long double, the P and Q sums in
+    float64.
     """
-    xl = x.astype(np.longdouble)
-    top = np.maximum(float(m), x)
-    start = (top + np.sqrt(40.0 * top) + 12.0).astype(int)
-    start += start % 2  # even start keeps the normalization sum aligned
-    seed = np.longdouble(1e-300)
-    jp1 = np.zeros_like(xl)
-    jk = np.zeros_like(xl)
-    norm = np.zeros_like(xl)
-    saved = np.zeros_like(xl)
-    for k in range(int(start.max()), 0, -1):
-        fresh = start == k
-        if np.any(fresh):
-            jk[fresh] = seed
-            jp1[fresh] = 0.0
-        jm1 = (2.0 * k / xl) * jk - jp1
-        jp1, jk = jk, jm1
-        # jk now holds J_{k-1}
-        if (k - 1) == m:
-            saved = jk.copy()
-        if (k - 1) > 0 and (k - 1) % 2 == 0:
-            norm += jk
-    norm = 2.0 * norm + jk
-    return (saved / norm).astype(float)
+    out = np.empty_like(x)
+    pi = np.longdouble(math.pi)
+    for lo in range(0, x.size, _HANKEL_SLICE):
+        xs = x[lo:lo + _HANKEL_SLICE]
+        p, q = _hankel_pq(xs)
+        xl = xs.astype(np.longdouble)
+        chi = xl - 0.25 * pi
+        cos, sin = np.cos(chi), np.sin(chi)
+        amp = np.sqrt(2.0 / (pi * xl))
+        # order 1 has phase chi - pi/2: its cos is sin(chi), its sin -cos(chi)
+        jk = amp * (p[0] * cos - q[0] * sin)
+        jk1 = amp * (p[1] * sin + q[1] * cos)
+        inv = 2.0 / xl
+        for k in range(1, m):
+            jk, jk1 = jk1, (k * inv) * jk1 - jk
+        out[lo:lo + _HANKEL_SLICE] = jk1 if m else jk
+    return out
 
 
 def _validate_order(m, limit: int = M_MAX) -> int:
@@ -185,6 +175,8 @@ def bessel_j(m, x):
     `x` may be a scalar or an ndarray (any shape); negative arguments and
     arguments beyond the envelope raise DomainError.  Orders up to 51 are
     accepted so that the derivative recurrence stays inside the engine.
+    Points up to `_SERIES_CUT[m]` take the ascending series, the rest the
+    Hankel expansion of J_0 and J_1 and upward recurrence to order m.
     """
     m = _validate_order(m, limit=M_MAX + 1)
     arr = np.asarray(x, dtype=float)
@@ -206,11 +198,7 @@ def bessel_j(m, x):
             res[ser] = _jm_series(m, xs[ser])
         hard = ~ser
         if np.any(hard):
-            xh = xs[hard]
-            if m <= 1:
-                res[hard] = _jm_asymptotic(m, xh)
-            else:
-                res[hard] = _jm_miller(m, xh)
+            res[hard] = _jm_hankel_recurrence(m, xs[hard])
         out[rest] = res
 
     out = out.reshape(arr.shape)

@@ -51,6 +51,7 @@ from functools import cache
 
 import numpy as np
 
+from . import quad
 from .quad import ABS_TOL, REL_TOL, gk15_panels, integrate
 from .special import DomainError, NumericError, bessel_j, bessel_zeros
 
@@ -178,12 +179,26 @@ def _zeros_cached(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return zeros[:count], absj[:count]
 
 
+# Radians of total phase per panel of `quad.PANEL_BUDGET` that `_osc_panels`
+# accepts.  Measured at the budget of 20000: the largest phase that converged
+# was 2.4e4 for `energy_ratio_paths` (m = 0, n = 1, xi = 2e4) and 4e4 for a
+# chirp whose amplitude vanishes as (1 - s)^8 at the wall; no integrand tried
+# converged at 5e4, so the limit of 1e5 keeps a factor of 2.
+_RADIANS_PER_BUDGET_PANEL = 5.0
+
+
 def _osc_panels(radians: float) -> int:
     """Initial panel count so each panel sees at most ~pi of total phase.
 
     Capped so a huge phase cannot demand gigabytes up front; past the cap the
-    adaptive refinement takes over and runs into the panel budget instead.
+    adaptive refinement takes over.  A phase beyond what the panel budget can
+    resolve raises NumericError at once instead of spending the budget.
     """
+    limit = _RADIANS_PER_BUDGET_PANEL * quad.PANEL_BUDGET
+    if not abs(radians) <= limit:
+        raise NumericError(
+            f"total phase {abs(radians):.4g} rad is beyond the {limit:.4g} rad that "
+            f"quad.PANEL_BUDGET = {quad.PANEL_BUDGET} panels can resolve")
     return min(max(8, int(math.ceil(abs(radians) / math.pi)) + 1), 2048)
 
 

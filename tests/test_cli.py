@@ -5,6 +5,7 @@ import math
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,19 @@ def test_energy_rejects_grid_below_two(capsys, grid):
     assert main(["energy", "--grid", grid]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "grid" in captured.err
+
+
+def test_energy_unresolvable_phase_fails_fast(capsys):
+    # a wall phase of 1.2e6 rad is far past what the panel budget resolves:
+    # exit 3 at once, naming the phase, not after spending the whole budget
+    start = time.perf_counter()
+    rc = main(["energy", "--m", "0", "--n", "1", "--alpha-ratio", "1",
+               "--xi", "1e6", "--grid", "2"])
+    elapsed = time.perf_counter() - start
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "total phase 1.203e+06 rad" in err and "PANEL_BUDGET" in err
+    assert elapsed < 5.0
 
 
 def test_moments_m0_blanks_inverse_column(capsys):

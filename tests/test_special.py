@@ -1,6 +1,7 @@
 """Bessel and hypergeometric routines against independent references."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +36,12 @@ BESSEL_REFERENCE = [
     (3, 1e-08, 2.083333333333333451079e-26),
     (2, 55.7, 0.003165966766143125583119),
     (33, 33.0, 0.1394373376806489279816),
+    # past the series cut with x <= m: upward recurrence runs beyond k = x
+    (30, 29.99, 0.1435198401002349273851),
+    (40, 37.0, 0.04322314083807957284329),
+    (45, 40.5, 0.021233299863733304222),
+    (51, 44.0, 0.005634779590812935891872),
+    (51, 50.9, 0.1176682054838380484437),
 ]
 
 ZERO_REFERENCE = [
@@ -75,6 +82,21 @@ def test_bessel_array_shape_and_scalar():
     assert isinstance(bessel_j(4, 1.0), float)
     assert bessel_j(3, 0.0) == 0.0
     assert bessel_j(0, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("m", [0, 2, 5])
+def test_bessel_past_series_cut_memory_per_point(m):
+    # the Hankel-and-recurrence route works in bounded slices, so its peak
+    # allocation per point is the caller's arrays plus a few masks (54 B/pt
+    # measured; unsliced long double working arrays take about three times that)
+    x = np.random.default_rng(m).uniform(_SERIES_CUT[m], 400.0, 200_000)
+    tracemalloc.start()
+    try:
+        bessel_j(m, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / x.size < 80.0
 
 
 def test_bessel_at_smallest_subnormal():

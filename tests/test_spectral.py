@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 import hypothesis as hyp
 import hypothesis.strategies as st
 
-from qtrap import spectral
+from qtrap import quad, spectral
 from qtrap.quad import integrate
-from qtrap.special import DomainError, bessel_j, bessel_j_prime
+from qtrap.special import DomainError, NumericError, bessel_j, bessel_j_prime
 from qtrap.spectral import (
     TrapGeometry,
     TruncationError,
@@ -203,6 +203,17 @@ def test_overlap_falls_back_when_grid_estimate_misses(monkeypatch):
 def test_overlap_rejects_non_finite_alpha(alpha):
     with pytest.raises(DomainError, match="^alpha must be finite"):
         overlap_I(0, 1, 2, 0.0, alpha, TrapGeometry())
+
+
+def test_osc_panels_refuses_phase_past_budget(monkeypatch):
+    # the limit scales with the panel budget, read at call time
+    assert spectral._osc_panels(-1e5) == 2048
+    with pytest.raises(NumericError, match=r"total phase 1\.001e\+05 rad .*PANEL_BUDGET = 20000"):
+        spectral._osc_panels(1.001e5)
+    with pytest.raises(NumericError):
+        spectral._osc_panels(math.nan)
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 40000)
+    assert spectral._osc_panels(1.5e5) == 2048
 
 
 @hyp.settings(max_examples=10, deadline=None)
