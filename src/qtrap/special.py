@@ -1,8 +1,8 @@
 """Real special functions built from scratch: Bessel J_m, its derivative and
 positive zeros, and a guarded generalized hypergeometric series.  J_m takes
-its ascending series up to one cutoff per order, `_SERIES_CUT[m]`.  Beyond
-it, every order takes J_0 and J_1 from the Hankel expansion and recurs upward
-to m.
+its ascending series, summed to a fixed `_SERIES_TERMS[m]` terms, up to one
+cutoff per order, `_SERIES_CUT[m]`, from x = 0 on.  Beyond it, every order
+takes J_0 and J_1 from the Hankel expansion and recurs upward to m.
 
 Everything in this module is pure and reentrant.  No caching happens here;
 callers that want tables cache them themselves.
@@ -14,6 +14,7 @@ beyond, which is what the quadrature and spectral layers budget for.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,48 +65,56 @@ class NonConvergence(NumericError):
 # --------------------------------------------------------------------------
 # Bessel J_m
 
-def _series_log_peak(m: int, x: float) -> float:
-    """ln of the largest term of the ascending series of J_m(x), x > 0, which
-    sits at k* = (sqrt(m^2 + x^2) - m) / 2."""
-    kstar = 0.5 * (-m + math.sqrt(m * m + x * x))
-    return ((m + 2.0 * kstar) * math.log(x / 2.0)
-            - math.lgamma(kstar + 1.0) - math.lgamma(m + kstar + 1.0))
+def _series_log_term(m: int, k: float, x: float) -> float:
+    """ln of the k-th term of the ascending series of J_m(x), x > 0:
+    (x/2)^(m+2k) / (k! (m+k)!), for real k through lgamma."""
+    return ((m + 2.0 * k) * math.log(x / 2.0)
+            - math.lgamma(k + 1.0) - math.lgamma(m + k + 1.0))
 
 
 def _series_cut(m: int) -> float:
-    """Largest x whose series peak stays within exp(SERIES_LOG_CAP), by
-    bisection down to adjacent doubles.  The peak is below the cap for x < 1
-    and rises with x from there, so the series domain is one interval."""
+    """Largest x whose largest series term, at k* = (sqrt(m^2 + x^2) - m) / 2,
+    stays within exp(SERIES_LOG_CAP), by bisection to adjacent doubles.  That
+    peak is below the cap for x < 1 and rises with x from there."""
     lo, hi = 0.0, X_MAX
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return lo
-        if _series_log_peak(m, mid) <= SERIES_LOG_CAP:
+        kstar = 0.5 * (-m + math.sqrt(m * m + mid * mid))
+        if _series_log_term(m, kstar, mid) <= SERIES_LOG_CAP:
             lo = mid
         else:
             hi = mid
 
 
-# The ascending series serves 0 < x <= _SERIES_CUT[m], one cutoff per order
-# (bessel_j accepts m up to M_MAX + 1).
+# The series serves 0 <= x <= _SERIES_CUT[m] (bessel_j accepts m up to
+# M_MAX + 1) and sums the _SERIES_TERMS[m] terms before the first one below
+# _SERIES_TAIL at the cut.  Each term grows with x, and the first is at least 1
+# at the cut, so the sum left out stays below about _SERIES_TAIL up to the cut.
+_SERIES_TAIL = 1e-24
 _SERIES_CUT = tuple(_series_cut(m) for m in range(M_MAX + 2))
+_SERIES_TERMS = tuple(next(k for k in itertools.count()
+                           if _series_log_term(m, k, cut) < math.log(_SERIES_TAIL))
+                      for m, cut in enumerate(_SERIES_CUT))
 
 
 def _jm_series(m: int, x: np.ndarray) -> np.ndarray:
-    """Ascending power series in long double, for x > 0."""
-    xl = x.astype(np.longdouble)
-    q = (0.5 * xl) ** 2
-    term = np.exp(m * np.log(0.5 * xl) - math.lgamma(m + 1))
+    """The first _SERIES_TERMS[m] terms of the ascending series, in long double."""
+    h = 0.5 * x.astype(np.longdouble)
+    q = h * h
+    # (x/2)^m / m! by repeated squaring: no log(0), and faster than powl
+    term = np.full_like(h, 1 / np.longdouble(math.factorial(m)))
+    e, base = m, h
+    while e:
+        if e & 1:
+            term *= base
+        e, base = e >> 1, base * base
     total = term.copy()
-    tiny = np.longdouble(1e-25)
-    for k in range(400):
-        term = -term * q / np.longdouble((k + 1.0) * (k + 1.0 + m))
+    for k in range(1, _SERIES_TERMS[m]):
+        term *= q
+        term /= np.longdouble(-k * (k + m))
         total += term
-        if not np.any(np.abs(term) > tiny * (np.abs(total) + tiny)):
-            break
-    else:
-        raise NonConvergence("Bessel series did not settle in 400 terms")
     return total.astype(float)
 
 
@@ -175,34 +184,20 @@ def bessel_j(m, x):
     `x` may be a scalar or an ndarray (any shape); negative arguments and
     arguments beyond the envelope raise DomainError.  Orders up to 51 are
     accepted so that the derivative recurrence stays inside the engine.
-    Points up to `_SERIES_CUT[m]` take the ascending series, the rest the
-    Hankel expansion of J_0 and J_1 and upward recurrence to order m.
+    Points up to `_SERIES_CUT[m]`, 0 included, take `_SERIES_TERMS[m]` terms
+    of the ascending series, the rest the Hankel expansion of J_0 and J_1 and
+    upward recurrence to order m.
     """
     m = _validate_order(m, limit=M_MAX + 1)
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    if flat.size and not (np.min(flat) >= 0.0 and np.max(flat) <= X_MAX):
+    if not np.all((arr >= 0.0) & (arr <= X_MAX)):
         raise DomainError("argument outside [0, 1e4]")  # rejects NaN too
 
-    out = np.empty_like(flat)
-    zero = flat == 0.0
-    out[zero] = 1.0 if m == 0 else 0.0
-
-    rest = ~zero
-    xs = flat[rest]
-    if xs.size:
-        res = np.empty_like(xs)
-        ser = xs <= _SERIES_CUT[m]
-        if np.any(ser):
-            res[ser] = _jm_series(m, xs[ser])
-        hard = ~ser
-        if np.any(hard):
-            res[hard] = _jm_hankel_recurrence(m, xs[hard])
-        out[rest] = res
-
-    out = out.reshape(arr.shape)
-    return float(out) if scalar else out
+    out = np.empty_like(arr)
+    ser = arr <= _SERIES_CUT[m]
+    out[ser] = _jm_series(m, arr[ser])
+    out[~ser] = _jm_hankel_recurrence(m, arr[~ser])
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_j_prime(m, x):
@@ -310,17 +305,21 @@ def _newton_zeros(m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Generalized hypergeometric series
 
-_PFQ_GUARD = 1e8
+# Limits from the platform's long double: refuse a sum whose rounding error,
+# about eps times its largest term, may pass 1e-11 of it, and any term that
+# _PFQ_BUDGET terms of its size could overflow.
+_PFQ_GUARD = 1e-11 / np.finfo(np.longdouble).eps
 _PFQ_BUDGET = 50_000
-_PFQ_OVERFLOW = np.longdouble("1e4000")
+_PFQ_OVERFLOW = np.finfo(np.longdouble).max / _PFQ_BUDGET
 
 
 def pfq(a, b, z: float) -> float:
     """Partial-sum evaluation of pFq(a; b; z) for p <= 3, q <= 4.
 
     Terms are accumulated in long double with a running cancellation guard:
-    if (max partial term)/|sum| exceeds 1e8 the value cannot be trusted and
-    CancellationError is raised so the caller can fall back to quadrature.
+    if (max partial term)/|sum| exceeds `_PFQ_GUARD` the value cannot be
+    trusted and CancellationError is raised so the caller can fall back to
+    quadrature.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]

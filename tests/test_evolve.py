@@ -2,6 +2,8 @@
 
 import math
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -186,6 +188,32 @@ def test_kernel_sums_angular_indices():
     # the m = 2 part is not carried by the m = 0 kernel alone
     only_m0 = propagate_through_kernel([0], target, t_dst, src, t_src, geom, n_max=30)
     assert abs(only_m0 - direct) > 1e-2
+
+
+@hyp.settings(max_examples=20, deadline=None)
+@hyp.given(m=st.integers(0, 5), alpha=st.floats(-3.0, 3.0),
+           times=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3, unique=True),
+           r_frac=st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 2.0 * math.pi)),
+           r0_frac=st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 2.0 * math.pi)))
+def test_kernel_semigroup(m, alpha, times, r_frac, r0_frac):
+    # int K(t2, t1) K(t1, t0) = K(t2, t0), with times up to where a
+    # contraction would reach XI_MIN
+    geom = TrapGeometry.from_alpha(alpha)
+    t_end = 1.0 if alpha >= 0.0 else min(1.0, 0.9 * (1.0 - spectral.XI_MIN) / (-2.0 * alpha))
+    t0, t1, t2 = sorted(t_end * f for f in times)
+    r = (r_frac[0] * geom.L(t2), r_frac[1])
+    rho0, phi0 = r0_frac[0] * geom.L(t0), r0_frac[1]
+    k0 = np.conj(spectral.modes(m, [rho0 / geom.L(t0)], t0, geom, 20)[0])
+
+    def src(rho_p, phi_p):
+        # K(rho', phi', t1; r0, t0) on a column of radii and a row of angles
+        rad = spectral.modes(m, np.ravel(rho_p) / geom.L(t1), t1, geom, 20) @ k0
+        ang = (1.0 if m == 0 else 2.0) * np.cos(m * (phi_p - phi0))
+        return rad[:, None] * ang / (2.0 * math.pi)
+
+    via_kernel = propagate_through_kernel([m], r, t2, src, t1, geom, n_max=20)
+    direct = propagator([m], r, t2, (rho0, phi0), t0, geom, n_max=20)
+    assert abs(via_kernel - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import hypothesis as hyp
 import hypothesis.strategies as st
+import mpmath
 
 from qtrap.special import (
     CancellationError,
@@ -21,7 +22,8 @@ from qtrap.special import (
     bessel_zeros,
     pfq,
 )
-from qtrap.special import _SERIES_CUT, M_MAX, SERIES_LOG_CAP
+from qtrap import special
+from qtrap.special import _SERIES_CUT, _SERIES_TAIL, _SERIES_TERMS, M_MAX, SERIES_LOG_CAP
 
 
 # values from a 30-digit arbitrary-precision evaluation
@@ -42,6 +44,12 @@ BESSEL_REFERENCE = [
     (45, 40.5, 0.021233299863733304222),
     (51, 44.0, 0.005634779590812935891872),
     (51, 50.9, 0.1176682054838380484437),
+    # 22-digit values of tiny J, where a stop test with an absolute floor of
+    # 1e-50 ends the series too early
+    (34, 1.0, 1.957551210137319745736e-49),
+    (40, 2.0, 1.196077458113680027086e-48),
+    (50, 0.5, 2.590558066078543123537e-95),
+    (51, 5.0, 1.127293943152023891107e-46),
 ]
 
 ZERO_REFERENCE = [
@@ -82,6 +90,7 @@ def test_bessel_array_shape_and_scalar():
     assert isinstance(bessel_j(4, 1.0), float)
     assert bessel_j(3, 0.0) == 0.0
     assert bessel_j(0, 0.0) == 1.0
+    assert bessel_j(2, np.empty((0, 3))).shape == (0, 3)
 
 
 @pytest.mark.parametrize("m", [0, 2, 5])
@@ -100,8 +109,8 @@ def test_bessel_past_series_cut_memory_per_point(m):
 
 
 def test_bessel_at_smallest_subnormal():
-    # x / 2 underflows to 0 here; J_0 must still take the series, not the
-    # Hankel sum, and no floating-point warning may escape
+    # x / 2 underflows to 0 in float64 here; J_0 must still take the series,
+    # not the Hankel sum, and no floating-point warning (a log of 0) may escape
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert bessel_j(0, 5e-324) == 1.0
@@ -226,6 +235,28 @@ def test_series_cut_matches_pointwise_criterion():
         assert np.all(np.abs(x[differ] - cut) <= 1e-12 * cut), m
 
 
+def test_series_term_count_bounds_the_tail():
+    # the first term left out is below the tail at the cut, the last one
+    # summed is not, and the terms shrink from there on (past the peak);
+    # mpmath gives the terms independently of lgamma
+    for m, (cut, terms) in enumerate(zip(_SERIES_CUT, _SERIES_TERMS)):
+        def term(k):
+            return ((mpmath.mpf(cut) / 2) ** (m + 2 * k)
+                    / (mpmath.factorial(k) * mpmath.factorial(m + k)))
+        assert term(terms) < _SERIES_TAIL <= term(terms - 1), m
+        assert term(terms + 1) < term(terms), m
+
+
+def test_series_twice_the_terms_changes_no_bit(monkeypatch):
+    grids = [np.concatenate([[0.0, 5e-324], np.linspace(0.0, cut, 2001)[1:]])
+             for cut in _SERIES_CUT]
+    fixed = [bessel_j(m, x) for m, x in enumerate(grids)]
+    monkeypatch.setattr(special, "_SERIES_TERMS", tuple(2 * k for k in _SERIES_TERMS))
+    for m, x in enumerate(grids):
+        assert x[-1] == _SERIES_CUT[m]
+        assert np.array_equal(bessel_j(m, x), fixed[m]), m
+
+
 def test_bessel_both_sides_of_series_cut():
     for m, cut in enumerate(_SERIES_CUT):
         x = np.array([np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)])
@@ -252,6 +283,12 @@ def test_pfq_trivial_and_domain():
         pfq((1.0,), (0.0, 2.0), 1.0)
     with pytest.raises(DomainError):
         pfq((1.0,), (-3.0, 2.0), 1.0)
+
+
+def test_pfq_limits_follow_long_double():
+    ld = np.finfo(np.longdouble)
+    assert np.isfinite(special._PFQ_OVERFLOW) and special._PFQ_OVERFLOW < ld.max
+    assert special._PFQ_GUARD * ld.eps <= 1.1e-11
 
 
 def test_pfq_cancellation_guard():
