@@ -92,8 +92,10 @@ def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry):
     scalar = rho_b.ndim == 0
     rho_b = np.atleast_1d(rho_b)
     phi_b = np.atleast_1d(phi_b)
-    if np.any(rho_b < 0.0):
-        raise DomainError("rho must be nonnegative")
+    if not np.all(rho_b >= 0.0):  # rejects NaN too; +inf lies outside the wall
+        raise DomainError("rho must be nonnegative and not NaN")
+    if not np.all(np.isfinite(phi_b)):
+        raise DomainError("phi must be finite")
     L = geom.L(t)
     sigma = rho_b / L
     out = np.zeros(rho_b.shape, dtype=complex)

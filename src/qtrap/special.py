@@ -2,7 +2,8 @@
 positive zeros, and a guarded generalized hypergeometric series.  J_m takes
 its ascending series, summed to a fixed `_SERIES_TERMS[m]` terms, up to one
 cutoff per order, `_SERIES_CUT[m]`, from x = 0 on.  Beyond it, every order
-takes J_0 and J_1 from the Hankel expansion and recurs upward to m.
+takes J_0 and J_1 from `_HANKEL_TERMS` Hankel terms and a float64 phase, and
+recurs upward to m in long double.
 
 Everything in this module is pure and reentrant.  No caching happens here;
 callers that want tables cache them themselves.
@@ -97,6 +98,10 @@ _SERIES_CUT = tuple(_series_cut(m) for m in range(M_MAX + 2))
 _SERIES_TERMS = tuple(next(k for k in itertools.count()
                            if _series_log_term(m, k, cut) < math.log(_SERIES_TAIL))
                       for m, cut in enumerate(_SERIES_CUT))
+# The Hankel sums stop before the first term whose ratio (2j-1)^2 / (8jx) to
+# the last reaches 1 at the lowest cut; mu = 4 shrinks that ratio from j = 2 on.
+_HANKEL_TERMS = next(j for j in itertools.count(1)
+                     if (2 * j - 1) ** 2 >= 8 * j * min(_SERIES_CUT))
 
 
 def _jm_series(m: int, x: np.ndarray) -> np.ndarray:
@@ -119,51 +124,38 @@ def _jm_series(m: int, x: np.ndarray) -> np.ndarray:
 
 
 def _hankel_pq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hankel P and Q sums of orders 0 and 1, rows 0 and 1, in float64.
-
-    The terms shrink while |mu - (2j-1)^2| < 8xj and grow from there, so each
-    entry stops at its smallest term: the first ratio that reaches 1 in
-    magnitude is set to zero, and that entry takes no more terms.
-    """
+    """Hankel P and Q sums of orders 0 and 1, rows 0 and 1, in float64: terms
+    1 to _HANKEL_TERMS - 1 after the leading 1 of P, each smaller than the one
+    before it wherever x is past a series cut."""
     mu = np.array([[0.0], [4.0]])
-    p = np.ones((2, x.size))
-    q = np.zeros((2, x.size))
+    pq = np.zeros((2, 2, x.size))
+    pq[0] = 1.0
     term = np.ones((2, x.size))
-    for j in range(1, 64):
-        ratio = (mu - (2.0 * j - 1.0) ** 2) / (8.0 * j * x)
-        ratio[np.abs(ratio) >= 1.0] = 0.0
-        term *= ratio
-        sgn = -1.0 if (j // 2) % 2 else 1.0
-        if j % 2:  # odd terms feed Q
-            q += sgn * term
-        else:
-            p += sgn * term
-        # smaller terms are lost against P ~ 1, relative to J's amplitude
-        if not np.any(np.abs(term) > 1e-18):
-            break
-    return p, q
+    for j in range(1, _HANKEL_TERMS):
+        # the terms' sign flips at every even j; odd terms feed Q
+        term *= (mu - (2.0 * j - 1.0) ** 2) / ((-1) ** (j + 1) * 8.0 * j * x)
+        pq[j % 2] += term
+    return pq[0], pq[1]
 
 
 def _jm_hankel_recurrence(m: int, x: np.ndarray) -> np.ndarray:
     """J_m(x) past the series cut: J_0 and J_1 from the Hankel expansion,
     then J_{k+1} = (2k/x) J_k - J_{k-1} up to order m.
 
-    Phase, amplitude and recurrence are in long double, the P and Q sums in
-    float64.
+    Phase and amplitude are float64, from cos x and sin x of the exact x, so
+    no rounded phase x - pi/4 enters; only the recurrence is in long double.
     """
     out = np.empty_like(x)
-    pi = np.longdouble(math.pi)
     for lo in range(0, x.size, _HANKEL_SLICE):
         xs = x[lo:lo + _HANKEL_SLICE]
         p, q = _hankel_pq(xs)
-        xl = xs.astype(np.longdouble)
-        chi = xl - 0.25 * pi
-        cos, sin = np.cos(chi), np.sin(chi)
-        amp = np.sqrt(2.0 / (pi * xl))
+        c, s = np.cos(xs), np.sin(xs)
+        cos, sin = c + s, s - c  # sqrt(2) times those of chi = x - pi/4
+        amp = np.sqrt(1.0 / (np.pi * xs))
         # order 1 has phase chi - pi/2: its cos is sin(chi), its sin -cos(chi)
         jk = amp * (p[0] * cos - q[0] * sin)
         jk1 = amp * (p[1] * sin + q[1] * cos)
-        inv = 2.0 / xl
+        inv = 2.0 / xs.astype(np.longdouble)  # in float64, J_51(44) would be 5e-13 off
         for k in range(1, m):
             jk, jk1 = jk1, (k * inv) * jk1 - jk
         out[lo:lo + _HANKEL_SLICE] = jk1 if m else jk
@@ -245,22 +237,26 @@ def bessel_zeros(m: int, count: int) -> BesselZeroTable:
     (the first zero of J_m exceeds m).  The scan nodes are evaluated in one
     `bessel_j` call per window: the first window spans 4 steps per zero
     wanted, and each further one 4 steps per zero still missing (plus 8), until
-    `count` brackets are found or the scan budget of 16 count + 400 steps
-    runs out.  All brackets are then polished together by Newton iteration
-    to |dx| < 1e-13.
+    `count` brackets are found.  Nodes stop at X_MAX: running out of them
+    there raises DomainError, and running out of the scan budget of
+    16 count + 400 steps first raises NumericError.  All brackets are then
+    polished together by Newton iteration to |dx| < 1e-13.
     """
     m = _validate_order(m)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
 
     # accumulated rather than x0 + k step, so each node is bit-identical to
-    # the one a step-by-step scan reaches
+    # the one a step-by-step scan reaches; none lies past X_MAX
     budget = 16 * count + 400
     xs = np.add.accumulate(np.concatenate([[m + 1.8], np.full(budget, _SCAN_STEP)]))
+    xs = xs[xs <= X_MAX]
     fs = np.empty(0)
     found = 0
     while found < count:
         if fs.size == xs.size:
+            if xs.size <= budget:  # cut short at X_MAX
+                raise DomainError(f"J_{m} has fewer than {count} zeros below X_MAX = {X_MAX:g}")
             raise NumericError(f"failed to bracket {count} zeros of J_{m} within scan budget")
         upto = min(xs.size, fs.size + 4 * (count - found) + 9)
         fs = np.concatenate([fs, bessel_j(m, xs[fs.size:upto])])

@@ -62,6 +62,11 @@ def test_mode_broadcast_and_scalar():
     assert arr.shape == (5, 3)
     with pytest.raises(DomainError):
         psi_exact(0, 1, -0.1, 0.0, 0.0, geom)
+    with pytest.raises(DomainError, match="rho"):
+        psi_exact(0, 1, math.nan, 0.0, 0.1, TrapGeometry.from_alpha(1.0))
+    with pytest.raises(DomainError, match="phi"):
+        psi_exact(0, 1, 0.5, math.inf, 0.0, geom)
+    assert psi_exact(0, 1, math.inf, 0.0, 0.0, geom) == 0j
 
 
 def test_azimuthal_dependence():

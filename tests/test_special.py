@@ -23,7 +23,8 @@ from qtrap.special import (
     pfq,
 )
 from qtrap import special
-from qtrap.special import _SERIES_CUT, _SERIES_TAIL, _SERIES_TERMS, M_MAX, SERIES_LOG_CAP
+from qtrap.special import (_HANKEL_TERMS, _SERIES_CUT, _SERIES_TAIL, _SERIES_TERMS, M_MAX,
+                           SERIES_LOG_CAP, X_MAX)
 
 
 # values from a 30-digit arbitrary-precision evaluation
@@ -84,6 +85,16 @@ def test_bessel_large_argument_against_scipy():
         assert_allclose(bessel_j(m, x), sps.jv(m, x), rtol=2e-11, atol=1e-13)
 
 
+def test_bessel_large_argument_phase():
+    # the phase comes from cos x and sin x of the exact x: a rounded phase
+    # x - pi/4 would be off by about ulp(x), 5e-13 of the amplitude at 1e4
+    x = np.geomspace(50.0, 1e4, 40)
+    for m in (0, 1, 12, 40):
+        want = np.array([float(mpmath.besselj(m, mpmath.mpf(v))) for v in x])
+        err = np.abs(bessel_j(m, x) - want) / np.sqrt(2.0 / (np.pi * x))
+        assert np.max(err) <= 2e-15, m
+
+
 def test_bessel_array_shape_and_scalar():
     out = bessel_j(4, np.ones((3, 2)))
     assert out.shape == (3, 2)
@@ -96,8 +107,8 @@ def test_bessel_array_shape_and_scalar():
 @pytest.mark.parametrize("m", [0, 2, 5])
 def test_bessel_past_series_cut_memory_per_point(m):
     # the Hankel-and-recurrence route works in bounded slices, so its peak
-    # allocation per point is the caller's arrays plus a few masks (54 B/pt
-    # measured; unsliced long double working arrays take about three times that)
+    # allocation per point is the caller's arrays plus a few masks (32 B/pt
+    # measured)
     x = np.random.default_rng(m).uniform(_SERIES_CUT[m], 400.0, 200_000)
     tracemalloc.start()
     try:
@@ -210,6 +221,10 @@ def test_zeros_match_scalar_scan():
 def test_zero_table_rejects_bad_input():
     with pytest.raises(DomainError):
         bessel_zeros(0, 0)
+    # J_0 has 3183 zeros below X_MAX; the scan stops there and names the count
+    assert bessel_zeros(0, 3183).zeros[-1] < X_MAX
+    with pytest.raises(DomainError, match=r"J_0.*3184.*X_MAX"):
+        bessel_zeros(0, 3184)
 
 
 def _series_peak_pointwise(m, x):
@@ -245,6 +260,20 @@ def test_series_term_count_bounds_the_tail():
                     / (mpmath.factorial(k) * mpmath.factorial(m + k)))
         assert term(terms) < _SERIES_TAIL <= term(terms - 1), m
         assert term(terms + 1) < term(terms), m
+
+
+def test_hankel_term_count_bounds_the_tail():
+    # the Hankel terms shrink up to the count at the lowest point the sums
+    # serve, for both orders, and the count's own ratio reaches 1 at order 0;
+    # mpmath gives the ratios independently of float64
+    x = mpmath.mpf(min(_SERIES_CUT))
+    assert min(_SERIES_CUT) == _SERIES_CUT[0]
+
+    def ratio(mu, j):
+        return abs(mu - (2 * j - 1) ** 2) / (8 * j * x)
+    for mu in (0, 4):
+        assert all(ratio(mu, j) < 1 for j in range(1, _HANKEL_TERMS)), mu
+    assert ratio(0, _HANKEL_TERMS) >= 1
 
 
 def test_series_twice_the_terms_changes_no_bit(monkeypatch):
