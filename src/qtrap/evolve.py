@@ -358,7 +358,7 @@ def long_time_radial(m: int, n: int, alpha: float, rho_obs: float, t: float,
     if rho_obs >= u * t:
         raise DomainError("too early: rho_obs must be well inside u*t")
     zeros, absj = _zeros_cached(m, n_max)
-    row = np.abs(_i_matrix(m, 1.0, alpha, n_max)[n - 1])
+    row = np.abs(_i_matrix(m, 1.0, alpha, n_max, np.eye(1, n_max, n - 1)[0]))
     j = bessel_j(m, zeros * (rho_obs / (u * t)))
     total = np.sum(row * j / absj ** 2)
     return float(2.0 * math.sqrt(2.0) / (absj[n - 1] * u * t) * total)

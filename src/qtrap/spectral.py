@@ -17,22 +17,26 @@ formed: it returns the radial factors of the modes n = 1..N_max as one
 `evolve` is built from it; `_projection` takes a wave back onto them, so the
 kernel is the projection at t' followed by `modes` at t.  A general state is
 carried as coefficients c_n' over the dressed modes at t = 0; its projection
-b_n'(t) onto the moving instantaneous basis is a single matrix-vector product
-against the overlap matrix
+b_n'(t) onto the moving instantaneous basis is the overlap matrix
 
     I_{m n' n''}(t, alpha) = int_0^1 s exp(-i alpha xi s^2)
-                             J_m(x_mn' s) J_m(x_mn'' s) ds.
+                             J_m(x_mn' s) J_m(x_mn'' s) ds
+
+applied to one vector.
 
 Both kinds of radial integral of Bessel blocks go through one product,
 `_gram`: int w(s) h^T h' ds on a `_Rule`, a fixed composite GK15 rule over
-[0, 1] with the blocks tabulated on its nodes.  It carries its own per-panel
-K15 - G7 error estimate and falls back to adaptive quadrature when the
-estimate misses its target or the weight's phase outruns the rule.  The
+[0, 1] with the blocks tabulated on its nodes, or that integral applied to a
+vector u, int w(s) h^T (h' u) ds.  It carries its own per-panel K15 - G7
+error estimate on what it returns and falls back to adaptive quadrature when
+the estimate misses its target or the weight's phase outruns the rule.  The
 overlap rule holds J_m(x_mn s_j) once per (m, N_max); only the phase depends
-on (t, alpha), so each overlap matrix is one weighted product of that block
-with itself.  The real-space route `b_coeffs_direct`, which the two-path
-check holds against `b_coeffs`, never reads the rule: it integrates
-adaptively on its own panel layout.
+on (t, alpha).  No caller reads a whole overlap matrix, so each applies it
+to the one vector it needs: the wave h u on the nodes, weighted, projected
+back onto the block.  I is symmetric, so a row is I applied to a unit
+vector.  The real-space route `b_coeffs_direct`, which the two-path check
+holds against `b_coeffs`, never reads the rule: it integrates adaptively on
+its own panel layout.
 
 Operator matrix elements in that moving basis are elementary in the zeros
 alone (`_zero_blocks`).  The six Bessel moment integrals of `moment_tables`,
@@ -254,7 +258,8 @@ def _rule(blocks, phase: float, panels: int) -> _Rule:
     return _Rule(s, w_kron, w_err, blocks, blocks(s.ravel()), phase)
 
 
-# Per-panel error matrices are formed this many elements at a time.
+# Per-panel error blocks are formed this many elements at a time; only full
+# products, n x n per panel, are large enough to be split.
 _ERR_CHUNK_ELEMS = 250_000
 
 
@@ -272,59 +277,72 @@ def _bessel_grid(m: int, n_max: int) -> _Rule:
                  phase, _osc_panels(2.0 * phase))
 
 
-def _gram(rule: _Rule, weight, left: int = 0, right: int = 0,
-          phase: float = 0.0) -> np.ndarray:
-    """int_0^1 weight(s) h_left(s)^T h_right(s) ds, h_k the rule's k-th block.
+def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real a; a complex b is split into its real and imaginary
+    parts, so a is never copied to complex."""
+    if not np.iscomplexobj(b):
+        return np.matmul(a, b)
+    return (np.matmul(a, np.ascontiguousarray(b.real))
+            + 1j * np.matmul(a, np.ascontiguousarray(b.imag)))
 
-    `phase` is the weight's own total phase.  The product is taken on the
-    rule when its panels see at most pi each of that phase and the blocks'
-    together, and the per-panel K15 - G7 matrices (formed `_ERR_CHUNK_ELEMS`
+
+def _gram(rule: _Rule, weight, left: int = 0, right: int = 0,
+          phase: float = 0.0, u: np.ndarray | None = None) -> np.ndarray:
+    """int_0^1 weight(s) h_left(s)^T h_right(s) ds, h_k the rule's k-th block,
+    applied to `u` if given: int_0^1 weight(s) h_left(s)^T (h_right(s) u) ds.
+
+    `u` is (n, k) or (n,) for the n columns of h_right, and the result has
+    one row per column of h_left and u's trailing shape; the weight is put
+    on the narrow side, h_left^T (w (h_right u)).  `phase` is the weight's
+    own total phase.  The product is taken on the rule when its panels see
+    at most pi each of that phase and the blocks' together, and the
+    per-panel K15 - G7 blocks of the result (formed `_ERR_CHUNK_ELEMS`
     elements at a time, their worst components summed as `integrate` does)
     meet `integrate`'s default target.  Otherwise it is adaptive `integrate`
-    from `_osc_panels` of the total phase.  A block's product with itself
-    has an exactly symmetric integrand and is symmetrized.
+    from `_osc_panels` of the total phase, with the integrand of the same
+    width as the result.  A full product of a block with itself has an
+    exactly symmetric integrand and is symmetrized.
     """
-    def sandwich(d, lb, rb):
-        # lb^T diag(d) rb over real blocks with leading batch axes; a complex
-        # weight is split so the products stay real
-        lt = lb.swapaxes(-1, -2)
-        if np.iscomplexobj(d):
-            return (np.matmul(lt * d.real[..., None, :], rb)
-                    + 1j * np.matmul(lt * d.imag[..., None, :], rb))
-        return np.matmul(lt * d[..., None, :], rb)
-
+    cols = None if u is None else np.reshape(u, (np.shape(u)[0], -1))
     mat = None
     panels, nodes = rule.w_kron.shape
     if phase <= math.pi * panels - rule.phase:
         w = weight(rule.s)
-        lb, rb = rule.tab[left], rule.tab[right]
-        mat = sandwich((w * rule.w_kron).ravel(), lb, rb)
-        diff = w * rule.w_err
-        lp = lb.reshape(panels, nodes, -1)
+        lb = rule.tab[left]
+        rb = rule.tab[right] if cols is None else _real_matmul(rule.tab[right], cols)
+        mat = _real_matmul(lb.T, (w * rule.w_kron).reshape(-1, 1) * rb)
+        diff = (w * rule.w_err)[..., None]
+        lp = lb.reshape(panels, nodes, -1).swapaxes(1, 2)
         rp = rb.reshape(panels, nodes, -1)
-        step = max(1, _ERR_CHUNK_ELEMS // (lp.shape[2] * rp.shape[2]))
+        step = max(1, _ERR_CHUNK_ELEMS // mat.size)
         err = 0.0
         for lo in range(0, panels, step):
-            e = np.abs(sandwich(diff[lo:lo + step], lp[lo:lo + step], rp[lo:lo + step]))
+            e = np.abs(_real_matmul(lp[lo:lo + step], diff[lo:lo + step] * rp[lo:lo + step]))
             err += float(e.reshape(e.shape[0], -1).max(axis=1).sum())
         if err > max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat)))):
             mat = None
     if mat is None:
         def f(s):
             h = rule.blocks(s)
-            return weight(s)[:, None, None] * h[left][:, :, None] * h[right][:, None, :]
+            hr = h[right] if cols is None else _real_matmul(h[right], cols)
+            return weight(s)[:, None, None] * h[left][:, :, None] * hr[:, None, :]
 
         res = integrate(f, 0.0, 1.0, initial_panels=_osc_panels(phase + rule.phase))
         mat = np.asarray(res.value)
+    if u is not None:
+        return mat.reshape((mat.shape[0],) + np.shape(u)[1:])
     return 0.5 * (mat + mat.T) if left == right else mat
 
 
-def _i_matrix(m: int, xi_t: float, alpha: float, n_max: int) -> np.ndarray:
-    """Full (n_max, n_max) overlap matrix at expansion factor xi_t, a `_gram`
-    of the overlap rule under the wall phase |alpha| xi_t."""
+def _i_matrix(m: int, xi_t: float, alpha: float, n_max: int,
+              u: np.ndarray | None = None) -> np.ndarray:
+    """Overlap matrix I at expansion factor xi_t, a `_gram` of the overlap
+    rule under the wall phase |alpha| xi_t: the full (n_max, n_max) matrix,
+    or I u for a vector or (n_max, k) block u.  I is symmetric, so I e_n is
+    its row n."""
     return _gram(_bessel_grid(m, n_max),
                  lambda s: s * np.exp(-1j * alpha * xi_t * s ** 2),
-                 phase=abs(alpha) * xi_t)
+                 phase=abs(alpha) * xi_t, u=u)
 
 
 # --------------------------------------------------------------------------
@@ -379,7 +397,7 @@ def coeffs_from_eigenstate(m: int, n: int, geom: TrapGeometry,
         raise DomainError(f"need 1 <= n <= n_max, got n={n}, n_max={n_max}")
     alpha = geom.alpha
     zeros, absj = _zeros_cached(m, n_max)
-    row = _i_matrix(m, 1.0, alpha, n_max)[n - 1]
+    row = _i_matrix(m, 1.0, alpha, n_max, np.eye(1, n_max, n - 1)[0])
     coeffs = 2.0 * row / (absj[n - 1] * absj)
     deficit = _deficit_guard(coeffs, f"eigenstate (m={m}, n={n})")
     return SpectralState(m=m, alpha=alpha, coeffs=coeffs, norm_deficit=deficit)
@@ -422,16 +440,17 @@ def b_coeffs(state: SpectralState, t: float, geom: TrapGeometry) -> np.ndarray:
            exp(-i x_n''^2 tau) conj(I_{n' n''}(t, alpha)).
 
     |b_n'|^2 is the occupation of instantaneous level n', so for a unitary
-    evolution sum |b|^2 equals sum |c|^2 up to truncation.  The overlap
-    matrix comes from the tabulated overlap rule under its K15 - G7 error
-    estimate, or from adaptive quadrature where the rule does not suffice
-    (see `_gram`).
+    evolution sum |b|^2 equals sum |c|^2 up to truncation.  The sum over n''
+    is conj(I) v = conj(I conj(v)) for the vector v_n'' of the terms after
+    conj(I): one product of I with conj(v) on the tabulated overlap rule under
+    its K15 - G7 error estimate, or by adaptive quadrature where the rule
+    does not suffice (see `_gram`).  The matrix itself is never formed.
     """
     _check_state_geom(state, geom)
     zeros, absj = _zeros_cached(state.m, state.n_max)
-    imat = _i_matrix(state.m, geom.xi(t), geom.alpha, state.n_max)
     v = state.coeffs / absj * np.exp(-1j * zeros ** 2 * geom.tau(t))
-    return 2.0 / absj * (np.conj(imat) @ v)
+    iv = _i_matrix(state.m, geom.xi(t), geom.alpha, state.n_max, np.conj(v))
+    return 2.0 / absj * np.conj(iv)
 
 
 def modes(m: int, sigma: np.ndarray, t, geom: TrapGeometry, n_max: int,
@@ -704,8 +723,8 @@ def energy_ratio_paths(m: int, n: int, t: float, geom: TrapGeometry,
                        n_max: int = N_MAX_DEFAULT) -> tuple[float, float]:
     """<H>(t)/<H>(0) for the mode (m, n), by two independent routes.
 
-    Route 1 sums the populations of the instantaneous levels through the
-    overlap matrix:
+    Route 1 sums the populations of the instantaneous levels through row n
+    of the overlap matrix, I e_n:
 
         ratio = (1/xi^2) sum_n' (x_n'/J_n')^2 |I_{n n'}(t)|^2
                 / sum_n' (x_n'/J_n')^2 |I_{n n'}(0)|^2.
@@ -722,8 +741,8 @@ def energy_ratio_paths(m: int, n: int, t: float, geom: TrapGeometry,
     xi_t = geom.xi(t)
     zeros, absj = _zeros_cached(m, n_max)
     w = (zeros / absj) ** 2
-    row_t = _i_matrix(m, xi_t, alpha, n_max)[n - 1]
-    row_0 = _i_matrix(m, 1.0, alpha, n_max)[n - 1]
+    e_n = np.eye(1, n_max, n - 1)[0]
+    row_t, row_0 = (_i_matrix(m, xi, alpha, n_max, e_n) for xi in (xi_t, 1.0))
     isum = float(np.sum(w * np.abs(row_t) ** 2) / np.sum(w * np.abs(row_0) ** 2) / xi_t ** 2)
 
     h_t, h_0 = (_op_matrix("H", m, s, geom, n)[n - 1, n - 1].real for s in (t, 0.0))

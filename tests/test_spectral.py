@@ -1,6 +1,7 @@
 """Moving-basis spectral machinery: geometry, overlaps, coefficients, moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 import hypothesis as hyp
 import hypothesis.strategies as st
 
-from qtrap import quad, spectral
+from qtrap import evolve, quad, spectral
 from qtrap.quad import integrate
 from qtrap.special import DomainError, NumericError, bessel_j, bessel_j_prime
 from qtrap.spectral import (
@@ -197,6 +198,98 @@ def test_overlap_falls_back_when_grid_estimate_misses(monkeypatch):
     adaptive = spectral._i_matrix(1, 1.5, geom.alpha, 8)
     assert len(calls) == 1
     assert np.max(np.abs(adaptive - on_grid)) < 1e-11
+
+
+def _overlap_operands(n_max, seed):
+    """Unit columns e_1, e_5, e_{n_max} as one block, and a random complex
+    vector."""
+    rng = np.random.default_rng(seed)
+    units = np.eye(n_max)[:, [0, 4, n_max - 1]]
+    return units, rng.normal(size=n_max) + 1j * rng.normal(size=n_max)
+
+
+def _check_overlap_products(monkeypatch, m, xi_t, alpha, n_max, adaptive_calls):
+    # I u against the full matrix times u, each product taking the same
+    # route: `adaptive_calls` adaptive integrals per product
+    full = spectral._i_matrix(m, xi_t, alpha, n_max)
+    calls = _spy_integrate(monkeypatch)
+    for u in _overlap_operands(n_max, m):
+        calls.clear()
+        product = spectral._i_matrix(m, xi_t, alpha, n_max, u)
+        assert len(calls) == adaptive_calls
+        assert product.shape == u.shape
+        assert np.max(np.abs(product - full @ u)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_overlap_products_on_the_rule(monkeypatch, m):
+    _check_overlap_products(monkeypatch, m, 1.6, 2.3, 60, adaptive_calls=0)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_overlap_products_beyond_grid_fall_back(monkeypatch, m):
+    # wall phase 80 against the rule's headroom pi * panels - 2 x_max < 60
+    n_max, alpha, xi_t = 8, 50.0, 1.6
+    rule = spectral._bessel_grid(m, n_max)
+    assert alpha * xi_t > math.pi * rule.s.shape[0] - rule.phase
+    _check_overlap_products(monkeypatch, m, xi_t, alpha, n_max, adaptive_calls=1)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_overlap_products_fall_back_when_estimate_misses(monkeypatch, m):
+    monkeypatch.setattr(spectral, "ABS_TOL", 0.0)
+    monkeypatch.setattr(spectral, "REL_TOL", 0.0)
+    _check_overlap_products(monkeypatch, m, 1.5, 1.1, 8, adaptive_calls=1)
+
+
+def test_callers_apply_overlaps_to_vectors(monkeypatch):
+    # no caller reads the full matrix, so none may build it
+    real = spectral._i_matrix
+
+    def vectors_only(m, xi_t, alpha, n_max, u=None):
+        assert u is not None, "a caller built the full overlap matrix"
+        return real(m, xi_t, alpha, n_max, u)
+
+    monkeypatch.setattr(spectral, "_i_matrix", vectors_only)
+    monkeypatch.setattr(evolve, "_i_matrix", vectors_only)
+    geom = TrapGeometry.from_alpha(1.3)
+    state = coeffs_from_eigenstate(1, 2, geom, n_max=20)
+    b_coeffs(state, 0.4, geom)
+    energy_ratio_paths(1, 2, 0.4, geom, n_max=20)
+    evolve.long_time_radial(0, 1, 3.0, 0.5, 40.0, n_max=20)
+
+
+def test_overlap_products_memory():
+    # each call once to warm the rule and zero table, then once traced: the
+    # rule's block is 3615 x 60 floats (1.7 MB), and no call may copy it or
+    # build the 60 x 60 matrix's per-panel error blocks (about 0.95 MB
+    # measured; 10.2 MB with the full matrix)
+    geom = TrapGeometry.from_alpha(1.0)
+    state = coeffs_from_eigenstate(0, 1, geom)
+    calls = (lambda: b_coeffs(state, 0.5, geom),
+             lambda: coeffs_from_eigenstate(0, 1, geom),
+             lambda: energy_ratio_paths(0, 1, 0.5, geom))
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+
+def test_direct_coefficients_do_not_read_overlap_rule(monkeypatch):
+    # the two-path check holds b_coeffs against a route of its own
+    def refuse(*args, **kwargs):
+        raise AssertionError("b_coeffs_direct read the overlap rule")
+
+    geom = TrapGeometry.from_alpha(1.3)
+    state = coeffs_from_eigenstate(0, 1, geom, n_max=20)
+    monkeypatch.setattr(spectral, "_bessel_grid", refuse)
+    monkeypatch.setattr(spectral, "_gram", refuse)
+    assert np.all(np.isfinite(b_coeffs_direct(state, 0.4, geom)))
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
