@@ -88,25 +88,21 @@ def psi_exact(m: int, n: int, rho, phi, t: float, geom: TrapGeometry):
 def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry):
     """Evolved wave for an arbitrary coefficient state; zero outside the wall."""
     _check_state_geom(state, geom)
-    rho_b, phi_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(phi, float))
-    scalar = rho_b.ndim == 0
-    rho_b = np.atleast_1d(rho_b)
-    phi_b = np.atleast_1d(phi_b)
-    if not np.all(rho_b >= 0.0):  # rejects NaN too; +inf lies outside the wall
+    rho = np.asarray(rho, float)
+    phi = np.asarray(phi, float)
+    if not np.all(rho >= 0.0):  # rejects NaN too; +inf lies outside the wall
         raise DomainError("rho must be nonnegative and not NaN")
-    if not np.all(np.isfinite(phi_b)):
+    if not np.all(np.isfinite(phi)):
         raise DomainError("phi must be finite")
-    L = geom.L(t)
-    sigma = rho_b / L
-    out = np.zeros(rho_b.shape, dtype=complex)
+    # the radial factor is taken on rho's own shape and e^{i m phi} on phi's,
+    # and the two broadcast only in the product: a grid rho[:, None] x
+    # phi[None, :] evaluates each radius once
+    sigma = rho / geom.L(t)
     inside = sigma < 1.0
-    if np.any(inside):
-        # the radial factor depends on rho alone, and sampled grids repeat
-        # each radius over many angles: evaluate it once per radius
-        radii, where = np.unique(sigma[inside], return_inverse=True)
-        rad = _radial_wave(state, radii, t, geom)[where]
-        out[inside] = rad * np.exp(1j * state.m * phi_b[inside]) / math.sqrt(2.0 * math.pi)
-    return complex(out[0]) if scalar else out
+    rad = np.zeros(sigma.shape, dtype=complex)
+    rad[inside] = _radial_wave(state, sigma[inside], t, geom)
+    out = rad * np.exp(1j * state.m * phi) / math.sqrt(2.0 * math.pi)
+    return complex(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------

@@ -234,13 +234,11 @@ def bessel_zeros(m: int, count: int) -> BesselZeroTable:
     """First `count` positive zeros of J_m.
 
     Brackets come from a sign scan with step pi/4 starting just above m
-    (the first zero of J_m exceeds m).  The scan nodes are evaluated in one
-    `bessel_j` call per window: the first window spans 4 steps per zero
-    wanted, and each further one 4 steps per zero still missing (plus 8), until
-    `count` brackets are found.  Nodes stop at X_MAX: running out of them
-    there raises DomainError, and running out of the scan budget of
-    16 count + 400 steps first raises NumericError.  All brackets are then
-    polished together by Newton iteration to |dx| < 1e-13.
+    (the first zero of J_m exceeds m), over the whole scan budget of
+    16 count + 400 steps in one `bessel_j` call.  Nodes stop at X_MAX:
+    running out of them there raises DomainError, and running out of the
+    budget first raises NumericError.  All brackets are then polished
+    together by Newton iteration to |dx| < 1e-13.
     """
     m = _validate_order(m)
     if count < 1:
@@ -251,19 +249,14 @@ def bessel_zeros(m: int, count: int) -> BesselZeroTable:
     budget = 16 * count + 400
     xs = np.add.accumulate(np.concatenate([[m + 1.8], np.full(budget, _SCAN_STEP)]))
     xs = xs[xs <= X_MAX]
-    fs = np.empty(0)
-    found = 0
-    while found < count:
-        if fs.size == xs.size:
-            if xs.size <= budget:  # cut short at X_MAX
-                raise DomainError(f"J_{m} has fewer than {count} zeros below X_MAX = {X_MAX:g}")
-            raise NumericError(f"failed to bracket {count} zeros of J_{m} within scan budget")
-        upto = min(xs.size, fs.size + 4 * (count - found) + 9)
-        fs = np.concatenate([fs, bessel_j(m, xs[fs.size:upto])])
-        f0 = fs[:-1]
-        exact = f0 == 0.0
-        hits = np.flatnonzero(exact | (f0 * fs[1:] < 0.0))
-        found = hits.size
+    fs = bessel_j(m, xs)
+    f0 = fs[:-1]
+    exact = f0 == 0.0
+    hits = np.flatnonzero(exact | (f0 * fs[1:] < 0.0))
+    if hits.size < count:
+        if xs.size <= budget:  # cut short at X_MAX
+            raise DomainError(f"J_{m} has fewer than {count} zeros below X_MAX = {X_MAX:g}")
+        raise NumericError(f"failed to bracket {count} zeros of J_{m} within scan budget")
     hits = hits[:count]
     zeros = xs[hits]
     bracket = ~exact[hits]

@@ -25,18 +25,19 @@ b_n'(t) onto the moving instantaneous basis is the overlap matrix
 applied to one vector.
 
 Both kinds of radial integral of Bessel blocks go through one product,
-`_gram`: int w(s) h^T h' ds on a `_Rule`, a fixed composite GK15 rule over
-[0, 1] with the blocks tabulated on its nodes, or that integral applied to a
-vector u, int w(s) h^T (h' u) ds.  It carries its own per-panel K15 - G7
-error estimate on what it returns and falls back to adaptive quadrature when
-the estimate misses its target or the weight's phase outruns the rule.  The
-overlap rule holds J_m(x_mn s_j) once per (m, N_max); only the phase depends
-on (t, alpha).  No caller reads a whole overlap matrix, so each applies it
-to the one vector it needs: the wave h u on the nodes, weighted, projected
-back onto the block.  I is symmetric, so a row is I applied to a unit
-vector.  The real-space route `b_coeffs_direct`, which the two-path check
-holds against `b_coeffs`, never reads the rule: it integrates adaptively on
-its own panel layout.
+`_gram`: int w(s) h^T (h' u) ds for an operand u, on a `_Rule`, a fixed
+composite GK15 rule over [0, 1] with the blocks tabulated on its nodes.  It
+carries its own per-panel K15 - G7 error estimate on what it returns and
+falls back to adaptive quadrature when the estimate misses its target or the
+weight's phase outruns the rule.  The overlap rule holds J_m(x_mn s_j) once
+per (m, N_max); only the phase depends on (t, alpha).  No caller reads a
+whole overlap matrix, so each applies it to the one vector it needs: the
+wave h u on the nodes, weighted, projected back onto the block.  I is
+symmetric, so a row is I applied to a unit vector.  The moment tables pass
+the identity and keep the whole product as it comes, unsymmetrized.  The
+real-space route `b_coeffs_direct`, which the two-path check holds against
+`b_coeffs`, never reads the rule: it integrates adaptively on its own panel
+layout.
 
 Operator matrix elements in that moving basis are elementary in the zeros
 alone (`_zero_blocks`).  The six Bessel moment integrals of `moment_tables`,
@@ -258,8 +259,9 @@ def _rule(blocks, phase: float, panels: int) -> _Rule:
     return _Rule(s, w_kron, w_err, blocks, blocks(s.ravel()), phase)
 
 
-# Per-panel error blocks are formed this many elements at a time; only full
-# products, n x n per panel, are large enough to be split.
+# Per-panel error blocks are formed this many elements at a time; only the
+# moment tables' identity operand, n x n per panel, makes them large enough
+# to be split.
 _ERR_CHUNK_ELEMS = 250_000
 
 
@@ -286,10 +288,10 @@ def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             + 1j * np.matmul(a, np.ascontiguousarray(b.imag)))
 
 
-def _gram(rule: _Rule, weight, left: int = 0, right: int = 0,
-          phase: float = 0.0, u: np.ndarray | None = None) -> np.ndarray:
-    """int_0^1 weight(s) h_left(s)^T h_right(s) ds, h_k the rule's k-th block,
-    applied to `u` if given: int_0^1 weight(s) h_left(s)^T (h_right(s) u) ds.
+def _gram(rule: _Rule, weight, u: np.ndarray, left: int = 0, right: int = 0,
+          phase: float = 0.0) -> np.ndarray:
+    """int_0^1 weight(s) h_left(s)^T (h_right(s) u) ds, h_k the rule's k-th
+    block.
 
     `u` is (n, k) or (n,) for the n columns of h_right, and the result has
     one row per column of h_left and u's trailing shape; the weight is put
@@ -300,16 +302,15 @@ def _gram(rule: _Rule, weight, left: int = 0, right: int = 0,
     elements at a time, their worst components summed as `integrate` does)
     meet `integrate`'s default target.  Otherwise it is adaptive `integrate`
     from `_osc_panels` of the total phase, with the integrand of the same
-    width as the result.  A full product of a block with itself has an
-    exactly symmetric integrand and is symmetrized.
+    width as the result.
     """
-    cols = None if u is None else np.reshape(u, (np.shape(u)[0], -1))
+    cols = np.reshape(u, (np.shape(u)[0], -1))
     mat = None
     panels, nodes = rule.w_kron.shape
     if phase <= math.pi * panels - rule.phase:
         w = weight(rule.s)
         lb = rule.tab[left]
-        rb = rule.tab[right] if cols is None else _real_matmul(rule.tab[right], cols)
+        rb = _real_matmul(rule.tab[right], cols)
         mat = _real_matmul(lb.T, (w * rule.w_kron).reshape(-1, 1) * rb)
         diff = (w * rule.w_err)[..., None]
         lp = lb.reshape(panels, nodes, -1).swapaxes(1, 2)
@@ -324,25 +325,22 @@ def _gram(rule: _Rule, weight, left: int = 0, right: int = 0,
     if mat is None:
         def f(s):
             h = rule.blocks(s)
-            hr = h[right] if cols is None else _real_matmul(h[right], cols)
+            hr = _real_matmul(h[right], cols)
             return weight(s)[:, None, None] * h[left][:, :, None] * hr[:, None, :]
 
         res = integrate(f, 0.0, 1.0, initial_panels=_osc_panels(phase + rule.phase))
         mat = np.asarray(res.value)
-    if u is not None:
-        return mat.reshape((mat.shape[0],) + np.shape(u)[1:])
-    return 0.5 * (mat + mat.T) if left == right else mat
+    return mat.reshape((mat.shape[0],) + np.shape(u)[1:])
 
 
 def _i_matrix(m: int, xi_t: float, alpha: float, n_max: int,
-              u: np.ndarray | None = None) -> np.ndarray:
-    """Overlap matrix I at expansion factor xi_t, a `_gram` of the overlap
-    rule under the wall phase |alpha| xi_t: the full (n_max, n_max) matrix,
-    or I u for a vector or (n_max, k) block u.  I is symmetric, so I e_n is
-    its row n."""
+              u: np.ndarray) -> np.ndarray:
+    """I u for the overlap matrix I at expansion factor xi_t and a vector or
+    (n_max, k) block u: a `_gram` of the overlap rule under the wall phase
+    |alpha| xi_t.  I is symmetric, so I e_n is its row n."""
     return _gram(_bessel_grid(m, n_max),
                  lambda s: s * np.exp(-1j * alpha * xi_t * s ** 2),
-                 phase=abs(alpha) * xi_t, u=u)
+                 u, phase=abs(alpha) * xi_t)
 
 
 # --------------------------------------------------------------------------
@@ -551,7 +549,8 @@ class MomentTable:
 
     Because C1 is formed by parts, the radial kinetic form m^2 A^{-1} - B0 -
     C1 is the Dirichlet form m^2 A^{-1} + int s g' g', a quadrature of its
-    own rather than a rescaled A1.  A tables are symmetric; B and C are not.
+    own rather than a rescaled A1.  A tables are symmetric to rounding; B
+    and C are not.
     At m = 0 the A^{-1} integral diverges and is stored as NaN; it only ever
     enters through m^2 A^{-1}, which vanishes there identically.
     """
@@ -600,7 +599,7 @@ def _moment_tables(m: int, n_max: int) -> MomentTable:
     rule = _rule(blocks, phase, _osc_panels(phase))
 
     def product(k, left, right):  # blocks 0 = g, 1 = g'
-        return _gram(rule, lambda s: s ** k, left, right)
+        return _gram(rule, lambda s: s ** k, np.eye(n_max), left, right)
 
     A3 = product(3, 0, 0)
     A1 = product(1, 0, 0)

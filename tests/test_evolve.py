@@ -54,12 +54,29 @@ def test_mode_vanishes_at_and_past_wall():
     assert psi_exact(0, 1, 2.0 * L, 0.3, t, geom) == 0.0
 
 
-def test_mode_broadcast_and_scalar():
+def test_mode_broadcast_and_scalar(monkeypatch):
     geom = TrapGeometry()
     val = psi_exact(2, 1, 0.4, 1.1, 0.0, geom)
     assert isinstance(val, complex)
-    arr = psi_exact(2, 1, np.linspace(0, 0.9, 5)[:, None], np.zeros((1, 3)), 0.0, geom)
+    calls = []
+    real = evolve._radial_wave
+
+    def spy(state, sigma, *rest):
+        calls.append(np.shape(sigma))
+        return real(state, sigma, *rest)
+
+    monkeypatch.setattr(evolve, "_radial_wave", spy)
+    rho, phi = np.linspace(0, 0.9, 5), np.linspace(0.0, 2.0, 3)
+    arr = psi_exact(2, 1, rho[:, None], phi[None, :], 0.0, geom)
     assert arr.shape == (5, 3)
+    assert calls == [(5,)]  # the radial factor once per radius, not per angle
+    # the same points pre-broadcast to (5, 3) give the same values
+    flat = psi_exact(2, 1, *np.broadcast_arrays(rho[:, None], phi[None, :]), 0.0, geom)
+    for part in (np.real, np.imag):
+        np.testing.assert_array_max_ulp(part(arr), part(flat), maxulp=2)
+    assert psi_exact(2, 1, 0.4, phi, 0.0, geom).shape == (3,)
+    assert psi_exact(2, 1, rho, 1.1, 0.0, geom).shape == (5,)
+    assert psi_exact(2, 1, rho, np.linspace(0.0, 2.0, 5), 0.0, geom).shape == (5,)
     with pytest.raises(DomainError):
         psi_exact(0, 1, -0.1, 0.0, 0.0, geom)
     with pytest.raises(DomainError, match="rho"):

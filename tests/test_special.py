@@ -17,6 +17,7 @@ from qtrap.special import (
     CancellationError,
     DomainError,
     NonConvergence,
+    NumericError,
     bessel_j,
     bessel_j_prime,
     bessel_zeros,
@@ -218,13 +219,18 @@ def test_zeros_match_scalar_scan():
                         rtol=0, atol=1e-13)
 
 
-def test_zero_table_rejects_bad_input():
+def test_zero_table_rejects_bad_input(monkeypatch):
     with pytest.raises(DomainError):
         bessel_zeros(0, 0)
     # J_0 has 3183 zeros below X_MAX; the scan stops there and names the count
     assert bessel_zeros(0, 3183).zeros[-1] < X_MAX
     with pytest.raises(DomainError, match=r"J_0.*3184.*X_MAX"):
         bessel_zeros(0, 3184)
+    # a step so short that the whole budget, 16 count + 400 steps from 1.8,
+    # ends far below the first zero 2.405: the budget runs out before X_MAX
+    monkeypatch.setattr(special, "_SCAN_STEP", 1e-6)
+    with pytest.raises(NumericError, match="J_0 within scan budget"):
+        bessel_zeros(0, 3)
 
 
 def _series_peak_pointwise(m, x):

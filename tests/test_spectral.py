@@ -143,7 +143,7 @@ def test_overlap_conjugation_and_symmetry():
 def test_overlap_matrix_consistent_with_scalar():
     geom = TrapGeometry.from_alpha(1.4)
     t = 0.5
-    mat = spectral._i_matrix(2, geom.xi(t), geom.alpha, 6)
+    mat = spectral._i_matrix(2, geom.xi(t), geom.alpha, 6, np.eye(6))
     for (i, j) in ((0, 0), (1, 4), (3, 2)):
         val = overlap_I(2, i + 1, j + 1, t, geom.alpha, geom)
         assert abs(mat[i, j] - val) < 1e-11
@@ -169,7 +169,7 @@ def test_tabulated_overlap_matches_adaptive(monkeypatch):
     geom = TrapGeometry.from_alpha(2.3)
     t = 0.4
     calls = _spy_integrate(monkeypatch)
-    mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 60)
+    mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 60, np.eye(60))
     assert calls == []  # served by the grid, no adaptive quadrature
     for i, j in _PROBES:
         assert abs(mat[i, j] - overlap_I(0, i + 1, j + 1, t, geom.alpha, geom)) < 1e-11
@@ -182,7 +182,7 @@ def test_overlap_beyond_grid_falls_back_to_adaptive(monkeypatch):
     panels = spectral._bessel_grid(0, 60).s.shape[0]
     assert abs(geom.alpha) * geom.xi(t) + 2.0 * x_max > math.pi * panels
     calls = _spy_integrate(monkeypatch)
-    mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 60)
+    mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 60, np.eye(60))
     assert len(calls) == 1
     for i, j in _PROBES:
         assert abs(mat[i, j] - overlap_I(0, i + 1, j + 1, t, geom.alpha, geom)) < 1e-11
@@ -191,11 +191,11 @@ def test_overlap_beyond_grid_falls_back_to_adaptive(monkeypatch):
 def test_overlap_falls_back_when_grid_estimate_misses(monkeypatch):
     # a zero target cannot be met by any error estimate
     geom = TrapGeometry.from_alpha(1.1)
-    on_grid = spectral._i_matrix(1, 1.5, geom.alpha, 8)
+    on_grid = spectral._i_matrix(1, 1.5, geom.alpha, 8, np.eye(8))
     monkeypatch.setattr(spectral, "ABS_TOL", 0.0)
     monkeypatch.setattr(spectral, "REL_TOL", 0.0)
     calls = _spy_integrate(monkeypatch)
-    adaptive = spectral._i_matrix(1, 1.5, geom.alpha, 8)
+    adaptive = spectral._i_matrix(1, 1.5, geom.alpha, 8, np.eye(8))
     assert len(calls) == 1
     assert np.max(np.abs(adaptive - on_grid)) < 1e-11
 
@@ -211,7 +211,7 @@ def _overlap_operands(n_max, seed):
 def _check_overlap_products(monkeypatch, m, xi_t, alpha, n_max, adaptive_calls):
     # I u against the full matrix times u, each product taking the same
     # route: `adaptive_calls` adaptive integrals per product
-    full = spectral._i_matrix(m, xi_t, alpha, n_max)
+    full = spectral._i_matrix(m, xi_t, alpha, n_max, np.eye(n_max))
     calls = _spy_integrate(monkeypatch)
     for u in _overlap_operands(n_max, m):
         calls.clear()
@@ -243,11 +243,12 @@ def test_overlap_products_fall_back_when_estimate_misses(monkeypatch, m):
 
 
 def test_callers_apply_overlaps_to_vectors(monkeypatch):
-    # no caller reads the full matrix, so none may build it
+    # no caller reads the full matrix, so none may build it: every operand
+    # is one column
     real = spectral._i_matrix
 
-    def vectors_only(m, xi_t, alpha, n_max, u=None):
-        assert u is not None, "a caller built the full overlap matrix"
+    def vectors_only(m, xi_t, alpha, n_max, u):
+        assert np.reshape(u, (n_max, -1)).shape[1] <= 1, "a caller built the full overlap matrix"
         return real(m, xi_t, alpha, n_max, u)
 
     monkeypatch.setattr(spectral, "_i_matrix", vectors_only)
