@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import integrate
+# nothing here integrates; `qtrap.evolve.integrate` stays bound because the
+# benchmark's layer tracing (benchmarks/tracing.py) pins that name
+from .quad import integrate  # noqa: F401
 from .special import DomainError, bessel_j
 from .spectral import (
     N_MAX_DEFAULT,
@@ -34,7 +36,7 @@ from .spectral import (
     TrapGeometry,
     _check_state_geom,
     _i_matrix,
-    _projection,
+    _mode_coeffs,
     _radial_wave,
     _zeros_cached,
     coeffs_from_eigenstate,
@@ -271,7 +273,9 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
     The periodic trapezoid rule on max(64, 2 max(m_list) + 1) angles, exact
     for the frequencies 0 and 2m, splits off the part of each m (both angular
     branches for m > 0, as in `propagator`); that part is projected onto the
-    modes at t' by adaptive quadrature and evaluated with `modes` at t.
+    modes at t' on the tabulated overlap rule, with adaptive quadrature as
+    the fallback where the rule does not suffice (`spectral._mode_coeffs`),
+    and evaluated with `modes` at t.
     """
     m_list = _check_m_list(m_list)
     rho, phi = r
@@ -287,8 +291,7 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
         def ang_m(rho_p):
             return psi_func(rho_p[:, None], phis[None, :]) @ w
 
-        f, panels = _projection(ang_m, m, t_prime, geom, n_max)
-        c = np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
+        c = _mode_coeffs(ang_m, m, t_prime, geom, n_max)
         total += modes(m, [sig], t, geom, n_max)[0] @ c
     return complex(total)
 

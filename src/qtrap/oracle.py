@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-
-import numpy as np
 
 from .quad import integrate
-from .special import (
+# the zeros come from spectral's table; `qtrap.oracle.bessel_zeros` stays
+# bound because the benchmark's layer tracing (benchmarks/tracing.py) pins it
+from .special import (  # noqa: F401
     CancellationError,
     DomainError,
     NonConvergence,
@@ -35,6 +34,7 @@ from .special import (
     bessel_zeros,
     pfq,
 )
+from .spectral import _zeros_cached
 
 __all__ = ["ClosedFormResult", "a_neg1_closed", "a3_closed", "c1_closed"]
 
@@ -43,15 +43,10 @@ PATH_M0 = "special_case_m0"
 PATH_QUAD = "quadrature_fallback"
 
 
-@cache
-def _zero_table(m: int, size: int) -> np.ndarray:
-    return bessel_zeros(m, size).zeros
-
-
 def _zero(m: int, n: int) -> float:
     if n < 1:
         raise DomainError(f"radial index must be >= 1, got {n}")
-    return float(_zero_table(m, max(n, 20))[n - 1])
+    return float(_zeros_cached(m, n)[0][n - 1])
 
 
 def _j_signed(order: int, x: float) -> float:

@@ -14,7 +14,7 @@ which for u != 0 equals (1 - 1/xi)/(4 alpha); the identity form is used so no
 branch at u = 0 is needed.  `modes` is the one place this mode factor is
 formed: it returns the radial factors of the modes n = 1..N_max as one
 (points x modes) matrix, and every wave function, density and kernel in
-`evolve` is built from it; `_projection` takes a wave back onto them, so the
+`evolve` is built from it; `_mode_coeffs` takes a wave back onto them, so the
 kernel is the projection at t' followed by `modes` at t.  A general state is
 carried as coefficients c_n' over the dressed modes at t = 0; its projection
 b_n'(t) onto the moving instantaneous basis is the overlap matrix
@@ -24,20 +24,21 @@ b_n'(t) onto the moving instantaneous basis is the overlap matrix
 
 applied to one vector.
 
-Both kinds of radial integral of Bessel blocks go through one product,
-`_gram`: int w(s) h^T (h' u) ds for an operand u, on a `_Rule`, a fixed
-composite GK15 rule over [0, 1] with the blocks tabulated on its nodes.  It
-carries its own per-panel K15 - G7 error estimate on what it returns and
-falls back to adaptive quadrature when the estimate misses its target or the
-weight's phase outruns the rule.  The overlap rule holds J_m(x_mn s_j) once
-per (m, N_max); only the phase depends on (t, alpha).  No caller reads a
-whole overlap matrix, so each applies it to the one vector it needs: the
-wave h u on the nodes, weighted, projected back onto the block.  I is
-symmetric, so a row is I applied to a unit vector.  The moment tables pass
-the identity and keep the whole product as it comes, unsymmetrized.  The
-real-space route `b_coeffs_direct`, which the two-path check holds against
-`b_coeffs`, never reads the rule: it integrates adaptively on its own panel
-layout.
+Three kinds of radial integral of Bessel blocks go through one product,
+`_gram`: int w(s) h^T right(s, h) ds on a `_Rule`, a fixed composite GK15
+rule over [0, 1] with the blocks h tabulated on its nodes, for a right factor
+formed at the nodes.  It carries its own per-panel K15 - G7 error estimate
+and falls back to adaptive quadrature when the estimate misses its target or
+the weight's phase outruns the rule.  The overlap rule holds J_m(x_mn s_j)
+once per (m, N_max); only the phase depends on (t, alpha).  Overlaps
+(`_i_matrix`) take the wave h u of the one vector u a caller needs, so no
+caller forms a whole overlap matrix (I is symmetric: a row is I e_n); the
+moment tables take the block h itself and keep the product unsymmetrized;
+projections of a wave onto the modes (`_mode_coeffs`, the kernel) take the
+wave's own samples, on the overlap rule under the overlaps' weight.  The
+real-space routes never read the rule: `b_coeffs_direct`, held against
+`b_coeffs` by the two-path check, and `coeffs_from_initial`, held against
+`coeffs_from_eigenstate`, integrate adaptively on their own panel layouts.
 
 Operator matrix elements in that moving basis are elementary in the zeros
 alone (`_zero_blocks`).  The six Bessel moment integrals of `moment_tables`,
@@ -260,7 +261,7 @@ def _rule(blocks, phase: float, panels: int) -> _Rule:
 
 
 # Per-panel error blocks are formed this many elements at a time; only the
-# moment tables' identity operand, n x n per panel, makes them large enough
+# moment tables' full self-products, n x n per panel, make them large enough
 # to be split.
 _ERR_CHUNK_ELEMS = 250_000
 
@@ -288,29 +289,27 @@ def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             + 1j * np.matmul(a, np.ascontiguousarray(b.imag)))
 
 
-def _gram(rule: _Rule, weight, u: np.ndarray, left: int = 0, right: int = 0,
-          phase: float = 0.0) -> np.ndarray:
-    """int_0^1 weight(s) h_left(s)^T (h_right(s) u) ds, h_k the rule's k-th
-    block.
+def _gram(rule: _Rule, weight, right, left: int = 0, phase: float = 0.0) -> np.ndarray:
+    """int_0^1 weight(s) h_left(s)^T right(s, h) ds, h the tuple of the rule's
+    blocks at the nodes s.
 
-    `u` is (n, k) or (n,) for the n columns of h_right, and the result has
-    one row per column of h_left and u's trailing shape; the weight is put
-    on the narrow side, h_left^T (w (h_right u)).  `phase` is the weight's
-    own total phase.  The product is taken on the rule when its panels see
-    at most pi each of that phase and the blocks' together, and the
-    per-panel K15 - G7 blocks of the result (formed `_ERR_CHUNK_ELEMS`
-    elements at a time, their worst components summed as `integrate` does)
-    meet `integrate`'s default target.  Otherwise it is adaptive `integrate`
-    from `_osc_panels` of the total phase, with the integrand of the same
-    width as the result.
+    `right(s, h)` forms the right factor at nodes s, one row per node and k
+    columns, and the result is (columns of h_left, k); the weight is put on
+    the narrow side, h_left^T (w right).  `phase` is the weight's own total
+    phase.  The product is taken on the rule, `right` called once on all its
+    nodes and tabulated blocks, when its panels see at most pi each of that
+    phase and the blocks' together, and the per-panel K15 - G7 blocks of the
+    result (formed `_ERR_CHUNK_ELEMS` elements at a time, their worst
+    components summed as `integrate` does) meet `integrate`'s default target.
+    Otherwise it is adaptive `integrate` from `_osc_panels` of the total
+    phase, with the integrand of the same width as the result.
     """
-    cols = np.reshape(u, (np.shape(u)[0], -1))
     mat = None
     panels, nodes = rule.w_kron.shape
     if phase <= math.pi * panels - rule.phase:
         w = weight(rule.s)
         lb = rule.tab[left]
-        rb = _real_matmul(rule.tab[right], cols)
+        rb = right(rule.s.ravel(), rule.tab)
         mat = _real_matmul(lb.T, (w * rule.w_kron).reshape(-1, 1) * rb)
         diff = (w * rule.w_err)[..., None]
         lp = lb.reshape(panels, nodes, -1).swapaxes(1, 2)
@@ -325,22 +324,24 @@ def _gram(rule: _Rule, weight, u: np.ndarray, left: int = 0, right: int = 0,
     if mat is None:
         def f(s):
             h = rule.blocks(s)
-            hr = _real_matmul(h[right], cols)
-            return weight(s)[:, None, None] * h[left][:, :, None] * hr[:, None, :]
+            return weight(s)[:, None, None] * h[left][:, :, None] * right(s, h)[:, None, :]
 
         res = integrate(f, 0.0, 1.0, initial_panels=_osc_panels(phase + rule.phase))
         mat = np.asarray(res.value)
-    return mat.reshape((mat.shape[0],) + np.shape(u)[1:])
+    return mat
 
 
 def _i_matrix(m: int, xi_t: float, alpha: float, n_max: int,
               u: np.ndarray) -> np.ndarray:
     """I u for the overlap matrix I at expansion factor xi_t and a vector or
     (n_max, k) block u: a `_gram` of the overlap rule under the wall phase
-    |alpha| xi_t.  I is symmetric, so I e_n is its row n."""
-    return _gram(_bessel_grid(m, n_max),
-                 lambda s: s * np.exp(-1j * alpha * xi_t * s ** 2),
-                 u, phase=abs(alpha) * xi_t)
+    |alpha| xi_t with the wave h u as its right factor.  I is symmetric, so
+    I e_n is its row n."""
+    cols = np.reshape(u, (np.shape(u)[0], -1))
+    mat = _gram(_bessel_grid(m, n_max),
+                lambda s: s * np.exp(-1j * alpha * xi_t * s ** 2),
+                lambda s, h: _real_matmul(h[0], cols), phase=abs(alpha) * xi_t)
+    return mat.reshape((n_max,) + np.shape(u)[1:])
 
 
 # --------------------------------------------------------------------------
@@ -418,8 +419,15 @@ def coeffs_from_initial(psi0, m: int, geom: TrapGeometry,
     if abs(norm - 1.0) > 1e-8:
         raise DomainError(f"initial state is not normalized: got {norm:.12g}")
 
-    f, panels = _projection(psi0, m, 0.0, geom, n_max)
-    coeffs = np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
+    # c_n = int_0^1 conj(modes(s, 0))_n psi0(a s) a^2 s ds, adaptively: the
+    # real-space reference that the rule's `coeffs_from_eigenstate` is held to
+    def f(s):
+        wave = np.asarray(psi0(a * s), dtype=complex)
+        return np.conj(modes(m, s, 0.0, geom, n_max)) * (wave * a * a * s)[:, None]
+
+    x_hi = float(_zeros_cached(m, n_max)[0][-1])
+    coeffs = np.asarray(integrate(f, 0.0, 1.0,
+                                  initial_panels=_osc_panels(abs(geom.alpha) + x_hi)).value)
     deficit = _deficit_guard(coeffs, "the initial state")
     return SpectralState(m=m, alpha=geom.alpha, coeffs=coeffs, norm_deficit=deficit)
 
@@ -489,23 +497,36 @@ def _radial_wave(state: SpectralState, sigma: np.ndarray, t,
     return modes(state.m, sigma, t, geom, state.n_max) @ state.coeffs
 
 
-def _projection(radial, m: int, t: float, geom: TrapGeometry, n_max: int):
-    """Integrand and initial panel count of the coefficients of the radial
-    wave `radial(rho)` at time t over the dressed modes at t,
+# The wave of a projection is sampled this many radii (64 panels of the rule)
+# at a time.  A 60-mode source forms a (radii x 60) mode block and a (radii x
+# angles) wave per call: on all 3615 nodes of the m = 0 overlap rule at once
+# they took a kernel read's traced peak from 4 to 12 MB.
+_WAVE_CHUNK_NODES = 960
+
+
+def _mode_coeffs(radial, m: int, t: float, geom: TrapGeometry, n_max: int) -> np.ndarray:
+    """Coefficients of the radial wave `radial(rho)` at time t over the
+    dressed modes at t,
 
         c_n = int_0^1 conj(modes(sigma, t))_n R(L sigma) L^2 sigma dsigma.
 
     They are constants of the motion, so `modes` at a later time evolves the
-    wave.  The caller integrates, so the quadrature counts in its own layer.
+    wave.  The integral is a `_gram` of the overlap rule under the weight of
+    `_i_matrix` at xi(t), whose right factor is the wave sampled
+    `_WAVE_CHUNK_NODES` radii at a time, times the amplitude
+    exp(i x_n^2 tau) sqrt(2) L / |J_{m+1}(x_n)|.
     """
-    L = geom.L(t)
-    x_hi = float(_zeros_cached(m, n_max)[0][-1])
+    L, xi_t, alpha = geom.L(t), geom.xi(t), geom.alpha
+    zeros, absj = _zeros_cached(m, n_max)
 
-    def f(s):
-        wave = np.asarray(radial(L * s), dtype=complex)
-        return np.conj(modes(m, s, t, geom, n_max)) * (wave * L * L * s)[:, None]
+    def wave(s, h):
+        rho = L * s
+        return np.concatenate([np.asarray(radial(rho[lo:lo + _WAVE_CHUNK_NODES]), dtype=complex)
+                               for lo in range(0, rho.size, _WAVE_CHUNK_NODES)])[:, None]
 
-    return f, _osc_panels(abs(geom.alpha) * geom.xi(t) + x_hi)
+    proj = _gram(_bessel_grid(m, n_max), lambda s: s * np.exp(-1j * alpha * xi_t * s ** 2),
+                 wave, phase=abs(alpha) * xi_t)
+    return np.exp(1j * zeros ** 2 * geom.tau(t)) * (math.sqrt(2.0) * L / absj) * proj[:, 0]
 
 
 def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
@@ -599,7 +620,7 @@ def _moment_tables(m: int, n_max: int) -> MomentTable:
     rule = _rule(blocks, phase, _osc_panels(phase))
 
     def product(k, left, right):  # blocks 0 = g, 1 = g'
-        return _gram(rule, lambda s: s ** k, np.eye(n_max), left, right)
+        return _gram(rule, lambda s: s ** k, lambda s, h: h[right], left)
 
     A3 = product(3, 0, 0)
     A1 = product(1, 0, 0)

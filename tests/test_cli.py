@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtrap import cli, oracle, spectral
+from qtrap import cli, spectral
 from qtrap.cli import EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from qtrap.special import bessel_zeros
 
@@ -368,7 +368,7 @@ def test_verify_drop_phase_negative_control(monkeypatch, capsys):
 
 
 _BUILDERS = ((spectral, "_zero_table"), (spectral, "_bessel_grid"),
-             (spectral, "_moment_tables"), (oracle, "_zero_table"))
+             (spectral, "_moment_tables"))
 
 
 def _run_checks_recording_builds(monkeypatch):

@@ -1,6 +1,7 @@
 """Wavefunctions, density traces, the two-time kernel and the PDE residual."""
 
 import math
+import tracemalloc
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -236,6 +237,105 @@ def test_kernel_semigroup(m, alpha, times, r_frac, r0_frac):
     via_kernel = propagate_through_kernel([m], r, t2, src, t1, geom, n_max=20)
     direct = propagator([m], r, t2, (rho0, phi0), t0, geom, n_max=20)
     assert abs(via_kernel - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
+def _spy(monkeypatch, name):
+    """Replace the spectral and evolve bindings of `name` by a wrapper;
+    returns the list of the positional arguments of each call."""
+    seen = []
+    real = getattr(spectral, name)
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    for module in (spectral, evolve):
+        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("m", [0, 5])
+def test_kernel_projects_on_overlap_rule(m, monkeypatch):
+    # an exact-mode source is resolved on the tabulated rule: no adaptive call
+    geom = TrapGeometry.from_alpha(-0.5 * _x(m, 1))
+    t = -0.5 / geom.u  # xi = 0.5
+    target = (0.4 * geom.L(t), 0.7)
+
+    def src(rho, phi):
+        return psi_exact(m, 1, rho, phi, 0.0, geom)
+
+    adaptive = _spy(monkeypatch, "integrate")
+    via_kernel = propagate_through_kernel([m], target, t, src, 0.0, geom)
+    assert adaptive == []
+    assert abs(via_kernel - psi_exact(m, 1, target[0], target[1], t, geom)) < 1e-10
+
+
+def test_kernel_read_bessel_points(monkeypatch):
+    # a warm read at (m, n, alpha-ratio) = (5, 1, -1) evaluates the source on
+    # the rule's nodes and the modes at one point: about 3.8k Bessel points,
+    # against 59.5k node by node under adaptive quadrature
+    geom = TrapGeometry.from_alpha(-0.5 * _x(5, 1))
+    t = -0.4 / geom.u
+
+    def src(rho, phi):
+        return psi_exact(5, 1, rho, phi, 0.0, geom)
+
+    def read():
+        return propagate_through_kernel([5], (0.3, 1.1), t, src, 0.0, geom)
+
+    read()
+    calls = _spy(monkeypatch, "bessel_j")
+    read()
+    assert 0 < sum(np.size(x) for _, x in calls) < 10_000
+
+
+def test_kernel_falls_back_past_rule_headroom(monkeypatch):
+    # a wall phase |alpha| xi(t') past the rule's headroom, pi panels - 2 x_max,
+    # takes the projection by adaptive quadrature: one call, same kernel
+    rule = spectral._bessel_grid(0, 20)
+    headroom = math.pi * rule.s.shape[0] - rule.phase
+    geom = TrapGeometry.from_alpha(100.0)
+    t0, t1, t2 = 0.0, 0.002, 0.004
+    assert abs(geom.alpha) * geom.xi(t1) > headroom
+    rho0, phi0 = 0.3, 0.4
+    k0 = np.conj(spectral.modes(0, [rho0], t0, geom, 20)[0])
+
+    def src(rho_p, phi_p):
+        rad = spectral.modes(0, np.ravel(rho_p) / geom.L(t1), t1, geom, 20) @ k0
+        return rad[:, None] * np.ones_like(phi_p) / (2.0 * math.pi)
+
+    r = (0.5 * geom.L(t2), 1.0)
+    adaptive = _spy(monkeypatch, "integrate")
+    via_kernel = propagate_through_kernel([0], r, t2, src, t1, geom, n_max=20)
+    assert len(adaptive) == 1
+    direct = propagator([0], r, t2, (rho0, phi0), t0, geom, n_max=20)
+    assert abs(via_kernel - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
+def test_kernel_memory():
+    # verify's kernel check: a 60-mode source at m = 0.  On all 3615 rule
+    # nodes x 64 angles at once its samples took the traced peak to 12.3 MB
+    # (4.0 MB under adaptive quadrature); formed 960 radii at a time, 5.1 MB
+    geom = TrapGeometry.from_alpha(1.2)
+    state = coeffs_from_eigenstate(0, 1, geom)
+    radii = []
+
+    def src(rho_p, phi_p):
+        radii.append(np.shape(rho_p)[0])
+        return psi_general(state, rho_p, phi_p, 0.2, geom)
+
+    def read():
+        return propagate_through_kernel([0], (0.7, 0.3), 0.55, src, 0.2, geom)
+
+    read()
+    tracemalloc.start()
+    try:
+        read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    assert 0 < max(radii) <= 960
 
 
 # --------------------------------------------------------------------------
