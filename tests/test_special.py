@@ -24,8 +24,8 @@ from qtrap.special import (
     pfq,
 )
 from qtrap import special
-from qtrap.special import (_HANKEL_TERMS, _SERIES_CUT, _SERIES_TAIL, _SERIES_TERMS, M_MAX,
-                           SERIES_LOG_CAP, X_MAX)
+from qtrap.special import (_HANKEL_FLOOR, _HANKEL_TERMS, _SERIES_TERMS, _SERIES_TOP, M_MAX,
+                           X_MAX)
 
 
 # values from a 30-digit arbitrary-precision evaluation
@@ -40,7 +40,8 @@ BESSEL_REFERENCE = [
     (3, 1e-08, 2.083333333333333451079e-26),
     (2, 55.7, 0.003165966766143125583119),
     (33, 33.0, 0.1394373376806489279816),
-    # past the series cut with x <= m: upward recurrence runs beyond k = x
+    # x <= m past the series: Miller's band, where upward recurrence would run
+    # beyond k = x
     (30, 29.99, 0.1435198401002349273851),
     (40, 37.0, 0.04322314083807957284329),
     (45, 40.5, 0.021233299863733304222),
@@ -107,17 +108,19 @@ def test_bessel_array_shape_and_scalar():
 
 @pytest.mark.parametrize("m", [0, 2, 5])
 def test_bessel_past_series_cut_memory_per_point(m):
-    # the Hankel-and-recurrence route works in bounded slices, so its peak
-    # allocation per point is the caller's arrays plus a few masks (32 B/pt
-    # measured)
-    x = np.random.default_rng(m).uniform(_SERIES_CUT[m], 400.0, 200_000)
-    tracemalloc.start()
-    try:
-        bessel_j(m, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / x.size < 80.0
+    # the Miller and Hankel routes work in bounded slices, so their peak
+    # allocation per point is the caller's arrays plus a few masks, in the
+    # Miller band alone as well as across both
+    rng = np.random.default_rng(m)
+    for x in (rng.uniform(_SERIES_TOP, _HANKEL_FLOOR, 200_000),
+              rng.uniform(_SERIES_TOP, 400.0, 200_000)):
+        tracemalloc.start()
+        try:
+            bessel_j(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / x.size < 80.0
 
 
 def test_bessel_at_smallest_subnormal():
@@ -233,47 +236,40 @@ def test_zero_table_rejects_bad_input(monkeypatch):
         bessel_zeros(0, 3)
 
 
-def _series_peak_pointwise(m, x):
-    """ln of the largest ascending-series term of J_m(x), at k* = (sqrt(m^2 +
-    x^2) - m) / 2, point by point: the series test the per-order cut replaces."""
-    kstar = 0.5 * (-m + np.sqrt(m * m + x * x))
-    lgamma = np.vectorize(math.lgamma)
-    return (m + 2.0 * kstar) * np.log(x / 2.0) - lgamma(kstar + 1.0) - lgamma(m + kstar + 1.0)
-
-
-def test_series_cut_matches_pointwise_criterion():
-    rng = np.random.default_rng(11)
-    for m in range(M_MAX + 2):
-        cut = _SERIES_CUT[m]
-        x = np.sort(np.concatenate([rng.uniform(1e-3, 100.0, 4000),
-                                    np.linspace(0.9 * cut, 1.1 * cut, 4001)]))
-        peak = _series_peak_pointwise(m, x)
-        # the peak rises with x from x = 1 on and stays under the cap below it
-        # (at m = 0 it dips first), so one cut per order suffices
-        assert np.all(np.diff(peak[x >= 1.0]) > 0.0), m
-        assert np.all(peak[x < 1.0] <= SERIES_LOG_CAP), m
-        differ = (peak <= SERIES_LOG_CAP) != (x <= cut)
-        assert np.all(np.abs(x[differ] - cut) <= 1e-12 * cut), m
+def _series_term(m, k, x):
+    """k-th term of the ascending series of J_m(x) in mpmath, independently of
+    the float64 sum."""
+    return (mpmath.mpf(x) / 2) ** (m + 2 * k) / (mpmath.factorial(k) * mpmath.factorial(m + k))
 
 
 def test_series_term_count_bounds_the_tail():
-    # the first term left out is below the tail at the cut, the last one
-    # summed is not, and the terms shrink from there on (past the peak);
-    # mpmath gives the terms independently of lgamma
-    for m, (cut, terms) in enumerate(zip(_SERIES_CUT, _SERIES_TERMS)):
-        def term(k):
-            return ((mpmath.mpf(cut) / 2) ** (m + 2 * k)
-                    / (mpmath.factorial(k) * mpmath.factorial(m + k)))
-        assert term(terms) < _SERIES_TAIL <= term(terms - 1), m
-        assert term(terms + 1) < term(terms), m
+    # at x = 2, the top of the series, the first term left out is below
+    # 2^-60 of J_m(2) for every order, and the last one summed is not at m = 0
+    with mpmath.workdps(30):
+        for m in range(M_MAX + 2):
+            value = abs(mpmath.besselj(m, _SERIES_TOP))
+            assert _series_term(m, _SERIES_TERMS, _SERIES_TOP) < 2.0 ** -60 * value, m
+        j0 = mpmath.besselj(0, _SERIES_TOP)
+        assert _series_term(0, _SERIES_TERMS - 1, _SERIES_TOP) >= 2.0 ** -60 * j0
+
+
+def test_miller_start_bounds_the_tail():
+    # each start is the first even order N with (x/2)^N / N! < 2^-60 at the
+    # top of its band, x = max(_HANKEL_FLOOR, m); J_N lies below it there
+    with mpmath.workdps(30):
+        for m in range(M_MAX + 2):
+            top, n = max(_HANKEL_FLOOR, m), special._miller_start(m)
+            assert n % 2 == 0 and n > m, m
+            assert _series_term(n, 0, top) < 2.0 ** -60 <= _series_term(n - 2, 0, top), m
+            assert mpmath.besselj(n, top) < 2.0 ** -60, m
+    assert special._miller_start(15) == 48 and special._miller_start(51) == 102
 
 
 def test_hankel_term_count_bounds_the_tail():
-    # the Hankel terms shrink up to the count at the lowest point the sums
-    # serve, for both orders, and the count's own ratio reaches 1 at order 0;
-    # mpmath gives the ratios independently of float64
-    x = mpmath.mpf(min(_SERIES_CUT))
-    assert min(_SERIES_CUT) == _SERIES_CUT[0]
+    # the Hankel terms shrink up to the count at the floor, the lowest point
+    # the sums serve, for both orders, and the count's own ratio reaches 1 at
+    # order 0; mpmath gives the ratios independently of float64
+    x = mpmath.mpf(_HANKEL_FLOOR)
 
     def ratio(mu, j):
         return abs(mu - (2 * j - 1) ** 2) / (8 * j * x)
@@ -283,19 +279,42 @@ def test_hankel_term_count_bounds_the_tail():
 
 
 def test_series_twice_the_terms_changes_no_bit(monkeypatch):
-    grids = [np.concatenate([[0.0, 5e-324], np.linspace(0.0, cut, 2001)[1:]])
-             for cut in _SERIES_CUT]
-    fixed = [bessel_j(m, x) for m, x in enumerate(grids)]
-    monkeypatch.setattr(special, "_SERIES_TERMS", tuple(2 * k for k in _SERIES_TERMS))
-    for m, x in enumerate(grids):
-        assert x[-1] == _SERIES_CUT[m]
+    x = np.concatenate([[0.0, 5e-324], np.linspace(0.0, _SERIES_TOP, 2001)[1:]])
+    fixed = [bessel_j(m, x) for m in range(M_MAX + 2)]
+    monkeypatch.setattr(special, "_SERIES_TERMS", 2 * _SERIES_TERMS)
+    for m in range(M_MAX + 2):
         assert np.array_equal(bessel_j(m, x), fixed[m]), m
 
 
+def test_miller_later_start_moves_values_by_rounding_only(monkeypatch):
+    # starting every order 20 higher changes the rounding, not the values: no
+    # point of any band moves by more than 2 ulps of 1, the sum the recurrence
+    # is normalised by (largest change measured: 1.3 ulps, 2.9e-16)
+    grids = [np.linspace(_SERIES_TOP, max(_HANKEL_FLOOR, m), 2001)[1:] for m in range(M_MAX + 2)]
+    fixed = [bessel_j(m, x) for m, x in enumerate(grids)]
+    start = special._miller_start
+    monkeypatch.setattr(special, "_miller_start", lambda m: start(m) + 20)
+    for m, x in enumerate(grids):
+        assert np.max(np.abs(bessel_j(m, x) - fixed[m])) <= 2 * np.spacing(1.0), m
+
+
 def test_bessel_both_sides_of_series_cut():
-    for m, cut in enumerate(_SERIES_CUT):
-        x = np.array([np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)])
-        assert_allclose(bessel_j(m, x), sps.jv(m, x), rtol=0, atol=2e-14)
+    # and of each order's Hankel floor, where Miller's band ends
+    for m in range(M_MAX + 2):
+        for edge in (_SERIES_TOP, max(_HANKEL_FLOOR, m)):
+            x = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+            assert_allclose(bessel_j(m, x), sps.jv(m, x), rtol=0, atol=2e-14)
+
+
+def test_bessel_is_float64_only(monkeypatch):
+    # no route may reach long double: with it made float64, every route
+    # gives the same bits
+    x = np.concatenate([[0.0, 5e-324], np.linspace(0.0, 2.0, 41)[1:],
+                        np.linspace(2.0, 51.0, 99)[1:], np.geomspace(51.0, X_MAX, 60)[1:]])
+    fixed = {m: bessel_j(m, x) for m in (0, 1, 5, 30, 51)}
+    monkeypatch.setattr(special.np, "longdouble", np.float64)
+    for m, want in fixed.items():
+        assert np.array_equal(bessel_j(m, x), want), m
 
 
 # generalized hypergeometric sums, references from mpmath.hyper
