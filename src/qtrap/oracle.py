@@ -7,14 +7,16 @@ argument -x_mn^2.  Agreement between the two routes validates both.
 
 The hypergeometric sums alternate with enormous terms once x_mn grows, so
 each closed form watches for the cancellation guard of `pfq` and falls back
-to direct quadrature when the sum cannot be trusted; the result always says
-which path produced it.
+to the elementary Lommel form at the zero (Watson, 5.11) when the sum cannot
+be trusted; the result always says which path produced it.  Its a3 and the
+x^2 J^2 / 2 in c1 are diagonals that `spectral._zero_blocks` builds on.
 
-Conventions, with g(s) = J_m(x_mn s) and x = x_mn:
+Conventions, with g(s) = J_m(x_mn s), x = x_mn and J = J_{m+1}(x):
 
     a_neg1 = int_0^1 g^2 / s ds          (m >= 1; diverges at m = 0)
-    a3     = int_0^1 s^3 g^2 ds
-    c1     = -int_0^1 s g'^2 ds          (radial gradient integral, < 0)
+           = (1 - J_0(x)^2 - 2 sum_{k=1}^{m-1} J_k(x)^2) / (2m)
+    a3     = int_0^1 s^3 g^2 ds = J^2 (x^2 + 2 (m^2 - 1)) / (6 x^2)
+    c1     = -int_0^1 s g'^2 ds = m^2 a_neg1 - x^2 J^2 / 2    (< 0)
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quad import integrate
-# the zeros come from spectral's table; `qtrap.oracle.bessel_zeros` stays
-# bound because the benchmark's layer tracing (benchmarks/tracing.py) pins it
+# `integrate`, `bessel_j_prime` and `bessel_zeros` stay bound, unused, because
+# the benchmark's layer tracing (benchmarks/tracing.py) pins all three here
+from .quad import integrate  # noqa: F401
 from .special import (  # noqa: F401
     CancellationError,
     DomainError,
@@ -34,13 +36,12 @@ from .special import (  # noqa: F401
     bessel_zeros,
     pfq,
 )
-from .spectral import _zeros_cached
+from .spectral import _lommel_diagonals, _zeros_cached
 
 __all__ = ["ClosedFormResult", "a_neg1_closed", "a3_closed", "c1_closed"]
 
 PATH_HYPER = "hypergeometric"
-PATH_M0 = "special_case_m0"
-PATH_QUAD = "quadrature_fallback"
+PATH_LOMMEL = "lommel"
 
 
 def _zero(m: int, n: int) -> float:
@@ -67,6 +68,19 @@ def _regularized_prefactor(logs_plus, logs_minus) -> float:
     return math.exp(sum(logs_plus) - sum(logs_minus))
 
 
+def _a_neg1_lommel(m: int, x: float) -> float:
+    # J_{k-1} + J_{k+1} = (2k/t) J_k and J_0^2 + 2 sum_k J_k^2 = 1; the
+    # -J_m(x)^2 / (2m) term of the general identity vanishes at the zero
+    tail = sum(bessel_j(k, x) ** 2 for k in range(1, m))
+    return (1.0 - bessel_j(0, x) ** 2 - 2.0 * tail) / (2.0 * m)
+
+
+def _c1_lommel(m: int, x: float) -> float:
+    jp1 = bessel_j(m + 1, x)
+    gradient = m * m * _a_neg1_lommel(m, x) if m else 0.0
+    return gradient - jp1 * jp1 * _lommel_diagonals(m, x)[1]
+
+
 def a_neg1_closed(m: int, n: int) -> ClosedFormResult:
     """int_0^1 J_m(x s)^2 / s ds for m >= 1."""
     if m < 1:
@@ -80,17 +94,7 @@ def a_neg1_closed(m: int, n: int) -> ClosedFormResult:
         )
         return ClosedFormResult(value=pre * f, path=PATH_HYPER)
     except (CancellationError, NonConvergence):
-        pass
-
-    # J_m(z)/z = (J_{m-1}(z) + J_{m+1}(z)) / (2m) removes the 1/s so the
-    # integrand stays benign near the axis.
-    def f_quad(s):
-        z = x * s
-        tot = bessel_j(m - 1, z) + bessel_j(m + 1, z)
-        return (x * x / (4.0 * m * m)) * s * tot * tot
-
-    val = integrate(f_quad, 0.0, 1.0, initial_panels=max(8, int(x))).value
-    return ClosedFormResult(value=float(val), path=PATH_QUAD)
+        return ClosedFormResult(value=_a_neg1_lommel(m, x), path=PATH_LOMMEL)
 
 
 def a3_closed(m: int, n: int) -> ClosedFormResult:
@@ -110,14 +114,9 @@ def a3_closed(m: int, n: int) -> ClosedFormResult:
         )
         return ClosedFormResult(value=pre * f, path=PATH_HYPER)
     except (CancellationError, NonConvergence):
-        pass
-
-    def f_quad(s):
-        j = bessel_j(m, x * s)
-        return s ** 3 * j * j
-
-    val = integrate(f_quad, 0.0, 1.0, initial_panels=max(8, int(x))).value
-    return ClosedFormResult(value=float(val), path=PATH_QUAD)
+        jp1 = bessel_j(m + 1, x)
+        return ClosedFormResult(value=jp1 * jp1 * _lommel_diagonals(m, x)[0],
+                                path=PATH_LOMMEL)
 
 
 def c1_closed(m: int, n: int) -> ClosedFormResult:
@@ -125,10 +124,8 @@ def c1_closed(m: int, n: int) -> ClosedFormResult:
     if m < 0:
         raise DomainError("angular index must be >= 0")
     x = _zero(m, n)
-    if m == 0:
-        j1 = float(bessel_j(1, x))
-        return ClosedFormResult(value=-0.5 * x * x * j1 * j1, path=PATH_M0)
-
+    if m == 0:  # the hypergeometric form divides by Gamma(m)
+        return ClosedFormResult(value=_c1_lommel(m, x), path=PATH_LOMMEL)
     try:
         f = pfq(
             (m + 0.5, m + 1.0, m + 1.0),
@@ -151,11 +148,4 @@ def c1_closed(m: int, n: int) -> ClosedFormResult:
         val = -(x * x / 4.0) * (t0 + t1 + t2 + t3 + t4)
         return ClosedFormResult(value=val, path=PATH_HYPER)
     except (CancellationError, NonConvergence):
-        pass
-
-    def f_quad(s):
-        dj = bessel_j_prime(m, x * s)
-        return s * (x * dj) ** 2
-
-    val = -float(integrate(f_quad, 0.0, 1.0, initial_panels=max(8, int(x))).value)
-    return ClosedFormResult(value=val, path=PATH_QUAD)
+        return ClosedFormResult(value=_c1_lommel(m, x), path=PATH_LOMMEL)

@@ -1,10 +1,10 @@
 """Real special functions built from scratch: Bessel J_m, its derivative and
-positive zeros, and a guarded generalized hypergeometric series.  J_m is
-float64 throughout, and each route runs only where it does not cancel:
-the ascending series, 13 terms, for x <= 2; Miller's backward recurrence for
+positive zeros, and a guarded generalized hypergeometric series.  Every
+routine is float64 throughout, so none depends on the platform's long
+double.  Each route of J_m runs only where it does not cancel: the
+ascending series, 13 terms, for x <= 2; Miller's backward recurrence for
 2 < x <= max(15.3, m); past that, J_0 and J_1 from `_HANKEL_TERMS` Hankel
 terms and upward recurrence to m, which then runs only through k < x.
-Only `pfq` uses long double.
 
 Everything in this module is pure and reentrant.  No caching happens here;
 callers that want tables cache them themselves.
@@ -290,21 +290,21 @@ def _newton_zeros(m: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Generalized hypergeometric series
 
-# Limits from the platform's long double: refuse a sum whose rounding error,
-# about eps times its largest term, may pass 1e-11 of it, and any term that
-# _PFQ_BUDGET terms of its size could overflow.
-_PFQ_GUARD = 1e-11 / np.finfo(np.longdouble).eps
+# Refuse a sum whose rounding error, about eps times its largest term, may
+# pass 1e-11 of it, and any term that _PFQ_BUDGET terms of its size could
+# overflow.
+_PFQ_GUARD = 1e-11 / np.finfo(float).eps
 _PFQ_BUDGET = 50_000
-_PFQ_OVERFLOW = np.finfo(np.longdouble).max / _PFQ_BUDGET
+_PFQ_OVERFLOW = np.finfo(float).max / _PFQ_BUDGET
 
 
 def pfq(a, b, z: float) -> float:
     """Partial-sum evaluation of pFq(a; b; z) for p <= 3, q <= 4.
 
-    Terms are accumulated in long double with a running cancellation guard:
+    Terms are accumulated in float64 with a running cancellation guard:
     if (max partial term)/|sum| exceeds `_PFQ_GUARD` the value cannot be
-    trusted and CancellationError is raised so the caller can fall back to
-    quadrature.
+    trusted and CancellationError is raised so the caller can take another
+    route.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -317,26 +317,23 @@ def pfq(a, b, z: float) -> float:
     if z == 0.0:
         return 1.0
 
-    zl = np.longdouble(z)
-    term = np.longdouble(1.0)
-    total = np.longdouble(1.0)
-    max_term = np.longdouble(1.0)
+    term = total = max_term = 1.0
     settled = 0
     for k in range(_PFQ_BUDGET):
-        num = np.longdouble(1.0)
+        num = 1.0
         for ai in a:
-            num *= np.longdouble(ai + k)
-        den = np.longdouble(k + 1.0)
+            num *= ai + k
+        den = k + 1.0
         for bi in b:
-            den *= np.longdouble(bi + k)
-        term = term * num / den * zl
+            den *= bi + k
+        term = term * num / den * z
         total += term
         at = abs(term)
         if at > max_term:
             max_term = at
         if at > _PFQ_OVERFLOW:
-            raise CancellationError("hypergeometric terms overflow long double range")
-        if at <= np.longdouble(1e-24) * max(abs(total), np.longdouble(1e-300)):
+            raise CancellationError("hypergeometric terms overflow float64 range")
+        if at <= 1e-24 * max(abs(total), 1e-300):
             settled += 1
             if settled >= 3:
                 break
@@ -347,6 +344,6 @@ def pfq(a, b, z: float) -> float:
 
     if abs(total) == 0.0 or max_term / abs(total) > _PFQ_GUARD:
         raise CancellationError(
-            f"cancellation guard tripped: max term / |sum| = {float(max_term / max(abs(total), np.longdouble(1e-300))):.3e}"
+            f"cancellation guard tripped: max term / |sum| = {max_term / max(abs(total), 1e-300):.3e}"
         )
-    return float(total)
+    return total

@@ -636,6 +636,12 @@ def _moment_tables(m: int, n_max: int) -> MomentTable:
 # --------------------------------------------------------------------------
 # Matrix elements and expectation values
 
+def _lommel_diagonals(m: int, x):
+    """The diagonals of A3 and K in `_zero_blocks`, at zeros x of J_m."""
+    xsq = x * x
+    return (xsq + 2.0 * (m * m - 1)) / (6.0 * xsq), 0.5 * xsq
+
+
 def _zero_blocks(m: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(A1, A3, B2, K) / (|J_{m+1}(x_i)| |J_{m+1}(x_j)|) from the zeros x_i alone.
 
@@ -651,10 +657,11 @@ def _zero_blocks(m: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     gap = np.subtract.outer(xsq, xsq)
     np.fill_diagonal(gap, 1.0)
     a3 = 4.0 * np.outer(sx, sx) / gap ** 2
-    np.fill_diagonal(a3, (xsq + 2.0 * (m * m - 1)) / (6.0 * xsq))
+    a3_diag, kinetic = _lommel_diagonals(m, x)
+    np.fill_diagonal(a3, a3_diag)
     np.fill_diagonal(gap, 0.0)
     a1 = 0.5 * np.eye(n_max)
-    return a1, a3, -a1 - 0.25 * gap * a3, a1 * xsq
+    return a1, a3, -a1 - 0.25 * gap * a3, np.diag(kinetic)
 
 
 def _op_matrix(op_kind: str, m: int, t: float, geom: TrapGeometry,

@@ -328,7 +328,27 @@ PFQ_REFERENCE = [
 
 @pytest.mark.parametrize("a,b,z,expected", PFQ_REFERENCE)
 def test_pfq_reference_values(a, b, z, expected):
+    if z == -100.0:
+        # its largest term is 1.64e5 of the sum, past the guard's 4.5e4 in
+        # float64: refused rather than returned with too few digits
+        with pytest.raises(CancellationError):
+            pfq(a, b, z)
+        return
     assert_allclose(pfq(a, b, z), expected, rtol=1e-12)
+
+
+def test_pfq_is_float64_only(monkeypatch):
+    # with long double made float64, every sum gives the same bits or the
+    # same refusal
+    def outcome(a, b, z):
+        try:
+            return pfq(a, b, z)
+        except CancellationError as exc:
+            return type(exc)
+
+    fixed = [outcome(a, b, z) for a, b, z, _ in PFQ_REFERENCE]
+    monkeypatch.setattr(special.np, "longdouble", np.float64)
+    assert [outcome(a, b, z) for a, b, z, _ in PFQ_REFERENCE] == fixed
 
 
 def test_pfq_trivial_and_domain():
@@ -339,10 +359,10 @@ def test_pfq_trivial_and_domain():
         pfq((1.0,), (-3.0, 2.0), 1.0)
 
 
-def test_pfq_limits_follow_long_double():
-    ld = np.finfo(np.longdouble)
-    assert np.isfinite(special._PFQ_OVERFLOW) and special._PFQ_OVERFLOW < ld.max
-    assert special._PFQ_GUARD * ld.eps <= 1.1e-11
+def test_pfq_limits_follow_float64():
+    f64 = np.finfo(float)
+    assert np.isfinite(special._PFQ_OVERFLOW) and special._PFQ_OVERFLOW < f64.max
+    assert special._PFQ_GUARD * f64.eps <= 1.1e-11
 
 
 def test_pfq_cancellation_guard():
@@ -354,7 +374,23 @@ def test_pfq_cancellation_guard():
 @hyp.settings(max_examples=10, deadline=None)
 @hyp.given(st.floats(min_value=0.1, max_value=15.0))
 def test_pfq_0f1_is_scaled_bessel(x):
-    # J_0(x) = 0F1(; 1; -x^2/4); past x ~ 19 the raw sum hits its own
-    # cancellation guard, which is the intended refusal
-    assert_allclose(pfq((), (1.0,), -x * x / 4.0), bessel_j(0, x),
-                    rtol=1e-9, atol=1e-12)
+    # J_0(x) = 0F1(; 1; -x^2/4): right wherever the sum returns, and refused
+    # by its own cancellation guard elsewhere
+    try:
+        value = pfq((), (1.0,), -x * x / 4.0)
+    except CancellationError:
+        return
+    assert_allclose(value, bessel_j(0, x), rtol=1e-9, atol=1e-12)
+
+
+def test_pfq_0f1_refuses_only_near_zeros():
+    # in float64 the sum for J_0 is refused within 0.02 of J_0's zeros 5.5201
+    # and 8.6537, where |J_0| is small against the largest term, and from
+    # x = 11.52 on; everywhere else on [0.1, 11.5] it returns
+    x = np.linspace(0.1, 11.5, 1141)
+    near_zero = (np.abs(x - 5.5201) < 0.02) | (np.abs(x - 8.6537) < 0.02)
+    for xi in x[~near_zero]:
+        pfq((), (1.0,), -xi * xi / 4.0)
+    for zero in (5.5201, 8.6537):
+        with pytest.raises(CancellationError):
+            pfq((), (1.0,), -zero * zero / 4.0)
