@@ -1,5 +1,6 @@
 """Closed-form diagonal moment integrals against high-precision references."""
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -154,3 +155,30 @@ def test_oracle_is_float64_only(monkeypatch):
     fixed = table()
     monkeypatch.setattr(np, "longdouble", np.float64)
     assert table() == fixed
+
+
+def _c1_paper_terms(m, n):
+    """The paper's c1 = -(x^2/4)(t0 + t1 + t2 + t3 + t4) at the n-th zero of
+    J_m, in 30-digit mpmath: t0 its 3F4 term, t1-t3 its J_{m-2} and J_{m-1}
+    terms, t4 = J_{m+1}^2 / 2."""
+    x = mpmath.besseljzero(m, n)
+    jm2, jm1, jp1 = (mpmath.besselj(m + k, x) for k in (-2, -1, 1))
+    t0 = -((x / 2) ** (2 * m) / (mpmath.gamma(m) * mpmath.factorial(m) * (m + 1) ** 2)
+           * mpmath.hyper([m + 0.5, m + 1, m + 1], [m, m + 2, m + 2, 2 * m + 1], -x * x))
+    t1 = 2 * jm2 * jm1 * (4 * m * (m * m - 1) + x * x * (1 - 2 * m)) / x ** 3
+    t2 = jm2 * jm2 * (x * x - 2 * m * (m + 1)) / (x * x)
+    t3 = jm1 * jm1 * (0.5 - 4 * m * (m - 1) * (2 * m * m - 2 - x * x) / x ** 4)
+    t4 = jp1 * jp1 / 2
+    return x, jp1, (t0, t1, t2, t3, t4)
+
+
+def test_c1_paper_form_reduces_at_zeros():
+    # J_{m-1} = -J_{m+1} and J_{m-2} = 2 (m - 1) J_{m-1} / x at a zero of J_m
+    # fold t1 + t2 + t3 into J_{m+1}^2 / 2, the form c1_closed sums
+    with mpmath.workdps(30):
+        for m in range(1, 11):
+            for n in range(1, 4):
+                x, jp1, (t0, *rest) = _c1_paper_terms(m, n)
+                paper = -(x * x / 4) * (t0 + sum(rest))
+                reduced = -(x * x / 4) * (t0 + jp1 * jp1)
+                assert abs(paper - reduced) <= 1e-25 * abs(reduced), (m, n)

@@ -236,6 +236,46 @@ def test_zero_table_rejects_bad_input(monkeypatch):
         bessel_zeros(0, 3)
 
 
+@pytest.mark.parametrize("m,count", [(32, 225), (26, 493), (42, 378), (45, 383),
+                                     (8, 582), (18, 623), (50, 713), (5, 3145)])
+def test_zeros_past_512_converge(m, count):
+    # the first table of each order whose Newton polish, stopped at a step of
+    # 1e-13 that is below one ulp there, alternated between two doubles
+    z = bessel_zeros(m, count).zeros
+    assert z.size == count and z[-1] > 512.0
+
+
+def _zeros_below_x_max(m):
+    # McMahon's (n + m/2 - 1/4) pi counts them exactly for every m <= 50
+    return int(X_MAX / math.pi - m / 2.0 + 0.25)
+
+
+def test_zero_envelope_sweep():
+    # every zero of J_0..J_50 below X_MAX, and not one more; consecutive
+    # orders interlace, so no table skips or repeats a zero
+    below = None
+    for m in range(M_MAX + 1):
+        count = _zeros_below_x_max(m)
+        z = bessel_zeros(m, count).zeros
+        with pytest.raises(DomainError):
+            bessel_zeros(m, count + 1)
+        if below is not None:
+            assert np.all(below[:z.size] < z) and np.all(z[:below.size - 1] < below[1:])
+        below = z
+
+
+def test_zero_scan_stops_allocating_at_x_max():
+    # a count far past X_MAX builds no scan node beyond it before it fails
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            bessel_zeros(0, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def _series_term(m, k, x):
     """k-th term of the ascending series of J_m(x) in mpmath, independently of
     the float64 sum."""
