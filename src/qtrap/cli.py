@@ -156,11 +156,6 @@ def _geometry_from(cfg: dict, alpha: float) -> TrapGeometry:
     return geom
 
 
-def _x(m: int, n: int) -> float:
-    zeros, _ = spectral._zeros_cached(m, n)
-    return float(zeros[n - 1])
-
-
 # --------------------------------------------------------------------------
 # Tabular commands
 
@@ -179,7 +174,7 @@ def cmd_energy(args, cfg) -> int:
         raise DomainError(f"config key u = {cfg['u']} and alpha ratio {args.alpha_ratio} "
                           "(--alpha-ratio or alpha_ratio) both set the wall speed; give one")
     ratio = 1.0 if args.alpha_ratio is None else args.alpha_ratio
-    geom = _geometry_from(cfg, ratio * 0.5 * _x(args.m, args.n))
+    geom = _geometry_from(cfg, ratio * 0.5 * spectral._zero(args.m, args.n))
     if geom.u == 0.0:
         raise DomainError("energy sweep needs a moving wall (alpha_ratio != 0)")
     if not math.isfinite(args.xi):
@@ -238,7 +233,7 @@ def cmd_density_r(args, cfg) -> int:
 
 def cmd_density_t(args, cfg) -> int:
     if args.eta_obs is None:
-        args.eta_obs = _x(args.m, args.n) / math.pi
+        args.eta_obs = spectral._zero(args.m, args.n) / math.pi
     samples, flight = evolve.density_timeseries(args.m, args.n, args.alpha_ratio,
                                                 args.eta_obs, args.t_max, args.grid)
     vis = evolve.visibility(samples, flight)
@@ -280,7 +275,7 @@ def _check_operator_closed_forms():
 
 
 def _two_path_setup():
-    geom = TrapGeometry.from_alpha(5.0 * 0.5 * _x(0, 1))
+    geom = TrapGeometry.from_alpha(5.0 * 0.5 * spectral._zero(0, 1))
     state = spectral.coeffs_from_eigenstate(0, 1, geom)
     t = 2.0 / geom.u  # xi = 3
     return state, t, geom
@@ -332,7 +327,7 @@ def _check_stationary_factor():
 def _check_oracle_m0():
     worst = 0.0
     for n in range(1, 5):
-        x = _x(0, n)
+        x = spectral._zero(0, n)
 
         def f(s, x=x):
             return s * (x * bessel_j_prime(0, x * s)) ** 2
@@ -372,7 +367,7 @@ def _check_propagator():
 
 
 def _check_energy_paths():
-    geom = TrapGeometry.from_alpha(0.5 * _x(0, 1))
+    geom = TrapGeometry.from_alpha(0.5 * spectral._zero(0, 1))
     t = 1.0 / geom.u  # xi = 2
     isum, closed = spectral.energy_ratio_paths(0, 1, t, geom)
     measured = abs(isum - closed)
@@ -387,7 +382,7 @@ def _check_h_convention():
 
 
 def _check_truncation_guard():
-    geom = TrapGeometry.from_alpha(10.0 * 0.5 * _x(0, 2))
+    geom = TrapGeometry.from_alpha(10.0 * 0.5 * spectral._zero(0, 2))
     try:
         state = spectral.coeffs_from_eigenstate(0, 2, geom, n_max=4)
     except TruncationError as exc:

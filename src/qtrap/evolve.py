@@ -17,6 +17,8 @@ wall sits at eta = xi x / (2 pi).
 Every radial factor here comes from `spectral.modes`, the one place the
 dressed-mode factor is formed: an exact mode is a general state with a unit
 coefficient vector; the kernel is a projection at t' followed by `modes` at t.
+`modes` is also where the hard wall is decided: its rows are exactly zero
+on and past the wall.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .spectral import (
     _i_matrix,
     _mode_coeffs,
     _radial_wave,
+    _zero,
     _zeros_cached,
     coeffs_from_eigenstate,
     modes,
@@ -88,7 +91,8 @@ def psi_exact(m: int, n: int, rho, phi, t: float, geom: TrapGeometry):
 
 
 def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry):
-    """Evolved wave for an arbitrary coefficient state; zero outside the wall."""
+    """Evolved wave for an arbitrary coefficient state; zero on and outside
+    the wall, where `modes` gives zero rows."""
     _check_state_geom(state, geom)
     rho = np.asarray(rho, float)
     phi = np.asarray(phi, float)
@@ -100,22 +104,13 @@ def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry):
     # and the two broadcast only in the product: a grid rho[:, None] x
     # phi[None, :] evaluates each radius once
     sigma = rho / geom.L(t)
-    inside = sigma < 1.0
-    rad = np.zeros(sigma.shape, dtype=complex)
-    rad[inside] = _radial_wave(state, sigma[inside], t, geom)
+    rad = _radial_wave(state, sigma.ravel(), t, geom).reshape(sigma.shape)
     out = rad * np.exp(1j * state.m * phi) / math.sqrt(2.0 * math.pi)
     return complex(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------
 # Density diagnostics
-
-def _mode_scales(m: int, n: int) -> tuple[float, float]:
-    """(x_mn, alpha_mn) with alpha_mn = x_mn/2 the speed scale of the mode."""
-    zeros, _ = _zeros_cached(m, n)
-    x = float(zeros[n - 1])
-    return x, 0.5 * x
-
 
 def density_profile(m: int, n: int, alpha_ratio: float, xi_target: float,
                     grid_size: int = 400) -> list[RadialDensitySample]:
@@ -128,8 +123,8 @@ def density_profile(m: int, n: int, alpha_ratio: float, xi_target: float,
     """
     if grid_size < 2:
         raise DomainError("grid_size must be >= 2")
-    x, alpha_mn = _mode_scales(m, n)
-    alpha = alpha_ratio * alpha_mn
+    x = _zero(m, n)
+    alpha = alpha_ratio * 0.5 * x
     if not 0.0 < xi_target < math.inf:
         raise DomainError(f"xi_target must be finite and positive, got {xi_target}")
     if alpha == 0.0:
@@ -152,11 +147,8 @@ def density_profile(m: int, n: int, alpha_ratio: float, xi_target: float,
     L = geom.L(t)
     eta_wall = xi_target * x / (2.0 * math.pi)
     eta = np.linspace(0.0, eta_wall, grid_size)
-    sigma = eta * lam / L
-    dens = np.zeros_like(eta)
-    inner = sigma < 1.0
-    rad = _radial_wave(state, sigma[inner], t, geom)
-    dens[inner] = lam ** 2 * eta[inner] * np.abs(rad) ** 2
+    rad = _radial_wave(state, eta * lam / L, t, geom)
+    dens = lam ** 2 * eta * np.abs(rad) ** 2
     return [RadialDensitySample(eta=float(e), T=float(T), rho_density=float(d))
             for e, d in zip(eta, dens)]
 
@@ -180,14 +172,14 @@ def density_timeseries(m: int, n: int, alpha_ratio: float, eta_obs: float,
         raise DomainError(f"T_max must be finite and positive, got {T_max}")
     if not math.isfinite(eta_obs):
         raise DomainError(f"eta_obs must be finite, got {eta_obs}")
-    x, alpha_mn = _mode_scales(m, n)
+    x = _zero(m, n)
     lam = 2.0 * math.pi / x
     rho0 = eta_obs * lam
     if rho0 <= 1.0:
         raise DomainError(
             f"observation radius must lie outside the initial wall: eta_obs > {x / (2.0 * math.pi):.6g}"
         )
-    geom = TrapGeometry.from_alpha(alpha_ratio * alpha_mn)
+    geom = TrapGeometry.from_alpha(alpha_ratio * 0.5 * x)
     state = coeffs_from_eigenstate(m, n, geom)
 
     nu = x * x / (4.0 * math.pi)
@@ -195,12 +187,8 @@ def density_timeseries(m: int, n: int, alpha_ratio: float, eta_obs: float,
                          T2=x / (4.0 * math.pi) * (rho0 + 1.0))
     Ts = np.linspace(0.0, T_max, steps)
     ts = Ts / nu
-    dens = np.zeros_like(Ts)
-    inside = ts > (rho0 - geom.a) / geom.u  # the wall has passed rho0
-    if np.any(inside):
-        t_in = ts[inside]
-        rad = _radial_wave(state, rho0 / geom.L(t_in), t_in, geom)
-        dens[inside] = lam ** 2 * eta_obs * np.abs(rad) ** 2
+    rad = _radial_wave(state, rho0 / geom.L(ts), ts, geom)
+    dens = lam ** 2 * eta_obs * np.abs(rad) ** 2
     samples = [RadialDensitySample(eta=float(eta_obs), T=float(T), rho_density=float(d))
                for T, d in zip(Ts, dens)]
     return samples, flight
@@ -252,14 +240,12 @@ def propagator(m_list, r, t: float, r_prime, t_prime: float, geom: TrapGeometry,
     m_list = _check_m_list(m_list)
     rho, phi = r
     rho_p, phi_p = r_prime
-    L, L_p = geom.L(t), geom.L(t_prime)
-    if rho >= L or rho_p >= L_p:
-        return 0.0 + 0.0j
+    sig, sig_p = rho / geom.L(t), rho_p / geom.L(t_prime)
     total = 0.0 + 0.0j
     for m in m_list:
         # radial kernel modes(sigma, t) modes(sigma', t')^H
-        rad = modes(m, [rho / L], t, geom, n_max)[0] \
-            @ np.conj(modes(m, [rho_p / L_p], t_prime, geom, n_max)[0])
+        rad = modes(m, [sig], t, geom, n_max)[0] \
+            @ np.conj(modes(m, [sig_p], t_prime, geom, n_max)[0])
         ang = 1.0 if m == 0 else 2.0 * math.cos(m * (phi - phi_p))
         total += rad * ang / (2.0 * math.pi)
     return complex(total)
@@ -280,7 +266,7 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
     m_list = _check_m_list(m_list)
     rho, phi = r
     sig = rho / geom.L(t)
-    if sig >= 1.0:
+    if sig >= 1.0:  # `modes` would give zero too; this skips the projection
         return 0.0 + 0.0j
     n_phi = max(64, 2 * max(m_list) + 1)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
@@ -356,6 +342,8 @@ def long_time_radial(m: int, n: int, alpha: float, rho_obs: float, t: float,
     u = 2.0 * alpha
     if rho_obs >= u * t:
         raise DomainError("too early: rho_obs must be well inside u*t")
+    if n < 1 or n > n_max:
+        raise DomainError(f"need 1 <= n <= n_max, got n={n}, n_max={n_max}")
     zeros, absj = _zeros_cached(m, n_max)
     row = np.abs(_i_matrix(m, 1.0, alpha, n_max, np.eye(1, n_max, n - 1)[0]))
     j = bessel_j(m, zeros * (rho_obs / (u * t)))

@@ -162,7 +162,7 @@ class TrapGeometry:
 
     def energy(self, m: int, n: int, t: float = 0.0) -> float:
         """Instantaneous mode energy hbar^2 x_mn^2 / (2 mu L^2)."""
-        x = _zeros_cached(m, n)[0][n - 1]
+        x = _zero(m, n)
         return self.hbar ** 2 * x * x / (2.0 * self.mu * self.L(t) ** 2)
 
 
@@ -183,6 +183,11 @@ def _zeros_cached(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"radial index n = {count} at m = {m}: modes are numbered from n = 1")
     zeros, absj = _zero_table(m, max(count, N_MAX_DEFAULT))
     return zeros[:count], absj[:count]
+
+
+def _zero(m: int, n: int) -> float:
+    """The zero x_mn of J_m, n >= 1."""
+    return float(_zeros_cached(m, n)[0][n - 1])
 
 
 # Radians of total phase per panel of `quad.PANEL_BUDGET` that `_osc_panels`
@@ -395,7 +400,7 @@ def coeffs_from_eigenstate(m: int, n: int, geom: TrapGeometry,
     if n < 1 or n > n_max:
         raise DomainError(f"need 1 <= n <= n_max, got n={n}, n_max={n_max}")
     alpha = geom.alpha
-    zeros, absj = _zeros_cached(m, n_max)
+    absj = _zeros_cached(m, n_max)[1]
     row = _i_matrix(m, 1.0, alpha, n_max, np.eye(1, n_max, n - 1)[0])
     coeffs = 2.0 * row / (absj[n - 1] * absj)
     deficit = _deficit_guard(coeffs, f"eigenstate (m={m}, n={n})")
@@ -468,19 +473,27 @@ def modes(m: int, sigma: np.ndarray, t, geom: TrapGeometry, n_max: int,
 
         exp[i (alpha xi sigma^2 - x_mn^2 tau)] sqrt(2) / (L |J_{m+1}(x_mn)|) J_m(x_mn sigma),
 
-    normalized so that int_0^1 |column|^2 L^2 sigma dsigma = 1.  `t` is one
-    time or one time per point.  `drop_moving_phase` deliberately omits the
-    quadratic wall phase; the result then no longer solves the equation of
-    motion.  It exists as a negative control so consistency checks can prove
-    they would notice.  `bessel_block`, if given, is J_m(x_mn sigma) with one
-    row per sigma, so a caller that needs the block too evaluates it only once.
+    normalized so that int_0^1 |column|^2 L^2 sigma dsigma = 1.  This is
+    where the hard wall is decided: a row with sigma >= 1, +inf included, is
+    exactly zero, so a wave built from `modes` vanishes on and past the wall.
+    NaN and negative sigma raise DomainError.  `t` is one time or one time
+    per point.  `drop_moving_phase` deliberately omits the quadratic wall
+    phase; the result then no longer solves the equation of motion.  It
+    exists as a negative control so consistency checks can prove they would
+    notice.  `bessel_block`, if given, is J_m(x_mn sigma) with one row per
+    sigma, so a caller that needs the block too evaluates it only once.
     """
     zeros, absj = _zeros_cached(m, n_max)
     sigma = np.asarray(sigma, dtype=float)
+    # NaN is not >= 1: it stays in sigma for bessel_j to reject
+    outside = sigma >= 1.0
+    sigma = np.where(outside, 0.0, sigma)
     amp = np.exp(-1j * np.multiply.outer(geom.tau(t), zeros ** 2)) \
         * (math.sqrt(2.0) / np.multiply.outer(geom.L(t), absj))
+    row = ~outside
     if not drop_moving_phase:
-        amp = np.exp(1j * geom.alpha * geom.xi(t) * sigma * sigma)[:, None] * amp
+        row = row * np.exp(1j * geom.alpha * geom.xi(t) * sigma * sigma)
+    amp = row[:, None] * amp
     j = bessel_block
     if j is None:
         j = bessel_j(m, sigma[:, None] * zeros[None, :])

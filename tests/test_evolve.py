@@ -140,6 +140,26 @@ def test_propagator_outside_wall_is_zero():
     assert propagator([0], (1.5, 0.0), 0.0, (0.5, 0.0), 0.0, geom) == 0.0
 
 
+@pytest.mark.parametrize("rho", [math.nan, -0.2, math.inf])
+def test_kernels_reject_nan_and_negative_rho(rho):
+    # +inf lies past the wall and gives zero; NaN and rho < 0 are errors
+    geom = TrapGeometry.from_alpha(1.2)
+
+    def src(rho_p, phi_p):
+        return psi_exact(0, 1, rho_p, phi_p, 0.0, geom)
+
+    reads = [lambda: propagator([0, 1], (rho, 0.3), 0.2, (0.5, 0.0), 0.1, geom, n_max=20),
+             lambda: propagator([0, 1], (0.5, 0.3), 0.2, (rho, 0.0), 0.1, geom, n_max=20),
+             lambda: propagate_through_kernel([0], (rho, 0.3), 0.2, src, 0.0, geom, n_max=20),
+             lambda: psi_exact(0, 1, rho, 0.3, 0.2, geom)]
+    for read in reads:
+        if math.isinf(rho):
+            assert read() == 0.0
+        else:
+            with pytest.raises(DomainError):
+                read()
+
+
 def test_propagator_rejects_negative_m():
     geom = TrapGeometry()
     with pytest.raises(DomainError):
@@ -410,6 +430,21 @@ def test_timeseries_flight_times_and_quiet_zone():
     assert max(s.rho_density for s in samples) > 0.0
 
 
+@pytest.mark.parametrize("m,n,r", [(0, 6, 0.5), (0, 6, 0.9), (0, 6, 2.0), (2, 3, 2.0)])
+def test_timeseries_zero_until_the_wall_arrives(m, n, r):
+    # the wall, L = a + r x t, reaches rho_0 = 2a at t = 1/(r x), that is at
+    # T = x/(4 pi r): the density is exactly zero before and nonzero after
+    x = _x(m, n)
+    arrival = x / (4.0 * math.pi * r)
+    # no sample lands within rounding of the arrival (it falls at 137.6 steps)
+    samples, _ = density_timeseries(m, n, r, x / math.pi, 2.9 * arrival, steps=400)
+    before = [s.rho_density for s in samples if s.T < arrival]
+    after = [s.rho_density for s in samples if s.T > arrival]
+    assert len(before) > 100 and len(after) > 100
+    assert all(d == 0.0 for d in before)
+    assert all(d > 0.0 for d in after)
+
+
 def test_timeseries_rejects_bad_geometry():
     x = _x(0, 1)
     with pytest.raises(DomainError):
@@ -440,6 +475,12 @@ def test_long_time_envelope_bounds_amplitude():
     actual = abs(psi_exact(0, 1, rho_obs, 0.0, t, geom)) * math.sqrt(2.0 * math.pi)
     assert 0.0 < actual <= env
     assert env < 10.0 * actual  # same order, not a vacuous bound
+
+
+@pytest.mark.parametrize("n", [-1, 0, 61])
+def test_long_time_envelope_rejects_bad_n(n):
+    with pytest.raises(DomainError, match="need 1 <= n <= n_max"):
+        long_time_radial(0, n, 3.0, 2.0, 40.0, n_max=60)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -482,6 +482,27 @@ def test_modes_one_time_per_point_matches_scalar_calls():
         assert_allclose(got[i], row, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("drop", [False, True])
+def test_modes_zero_on_and_past_wall(drop):
+    # pyproject turns RuntimeWarning into an error: +inf must not overflow
+    geom = TrapGeometry.from_alpha(1.3)
+    sigma = np.array([0.5, 1.0, 1.5, 200.0, math.inf])
+    got = spectral.modes(2, sigma, 0.4, geom, 10, drop_moving_phase=drop)
+    assert np.all(got[1:] == 0.0)
+    assert np.all(got[0] != 0.0)
+    # a caller's own Bessel block is masked the same way
+    block = np.ones((sigma.size, 10))
+    got = spectral.modes(2, sigma, 0.4, geom, 10, drop_moving_phase=drop, bessel_block=block)
+    assert np.all(got[1:] == 0.0)
+    assert np.all(got[0] != 0.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, -0.1])
+def test_modes_reject_nan_and_negative_sigma(sigma):
+    with pytest.raises(DomainError):
+        spectral.modes(0, np.array([0.5, sigma]), 0.4, TrapGeometry.from_alpha(1.3), 10)
+
+
 @hyp.settings(max_examples=8, deadline=None)
 @hyp.given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=12),
            st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=0.3, max_value=3.0))
