@@ -18,7 +18,10 @@ Every radial factor here comes from `spectral.modes`, the one place the
 dressed-mode factor is formed: an exact mode is a general state with a unit
 coefficient vector; the kernel is a projection at t' followed by `modes` at t.
 `modes` is also where the hard wall is decided: its rows are exactly zero
-on and past the wall.
+on and past the wall.  Points are checked where they enter, by `_check_point`:
+`psi_general` and each point of both kernels reject a negative or NaN rho and
+a non-finite phi before any work, while rho = +inf passes and lies past the
+wall.
 """
 
 from __future__ import annotations
@@ -90,16 +93,23 @@ def psi_exact(m: int, n: int, rho, phi, t: float, geom: TrapGeometry):
     return psi_general(unit, rho, phi, t, geom)
 
 
+def _check_point(rho, phi) -> tuple[np.ndarray, np.ndarray]:
+    """rho and phi as float arrays, once rho >= 0 (NaN fails it; +inf lies
+    past the wall) and phi is finite; DomainError otherwise."""
+    rho = np.asarray(rho, float)
+    phi = np.asarray(phi, float)
+    if not np.all(rho >= 0.0):
+        raise DomainError("rho must be nonnegative and not NaN")
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("phi must be finite")
+    return rho, phi
+
+
 def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry):
     """Evolved wave for an arbitrary coefficient state; zero on and outside
     the wall, where `modes` gives zero rows."""
     _check_state_geom(state, geom)
-    rho = np.asarray(rho, float)
-    phi = np.asarray(phi, float)
-    if not np.all(rho >= 0.0):  # rejects NaN too; +inf lies outside the wall
-        raise DomainError("rho must be nonnegative and not NaN")
-    if not np.all(np.isfinite(phi)):
-        raise DomainError("phi must be finite")
+    rho, phi = _check_point(rho, phi)
     # the radial factor is taken on rho's own shape and e^{i m phi} on phi's,
     # and the two broadcast only in the product: a grid rho[:, None] x
     # phi[None, :] evaluates each radius once
@@ -124,16 +134,14 @@ def density_profile(m: int, n: int, alpha_ratio: float, xi_target: float,
     if grid_size < 2:
         raise DomainError("grid_size must be >= 2")
     x = _zero(m, n)
-    alpha = alpha_ratio * 0.5 * x
     if not 0.0 < xi_target < math.inf:
         raise DomainError(f"xi_target must be finite and positive, got {xi_target}")
-    if alpha == 0.0:
+    geom = TrapGeometry.from_alpha(alpha_ratio * 0.5 * x)
+    if geom.u == 0.0:
         if xi_target != 1.0:
             raise DomainError("a static wall (alpha_ratio = 0) cannot reach xi != 1")
         t = 0.0
-        geom = TrapGeometry()
     else:
-        geom = TrapGeometry.from_alpha(alpha)
         t = (xi_target - 1.0) / geom.u
         if t < 0.0:
             raise DomainError(
@@ -203,8 +211,6 @@ def visibility(samples: list[RadialDensitySample], flight: FlightTimes) -> float
     """
     T = np.array([s.T for s in samples])
     d = np.array([s.rho_density for s in samples])
-    if d.size < 3:
-        return 0.0
     v = d.copy()
     v[1:-1] = (d[:-2] + d[1:-1] + d[2:]) / 3.0
     heights = []
@@ -238,8 +244,8 @@ def propagator(m_list, r, t: float, r_prime, t_prime: float, geom: TrapGeometry,
     m = 0 enters once.  The radial sum runs over n = 1..n_max.
     """
     m_list = _check_m_list(m_list)
-    rho, phi = r
-    rho_p, phi_p = r_prime
+    rho, phi = _check_point(*r)
+    rho_p, phi_p = _check_point(*r_prime)
     sig, sig_p = rho / geom.L(t), rho_p / geom.L(t_prime)
     total = 0.0 + 0.0j
     for m in m_list:
@@ -261,13 +267,12 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
     branches for m > 0, as in `propagator`); that part is projected onto the
     modes at t' on the tabulated overlap rule, with adaptive quadrature as
     the fallback where the rule does not suffice (`spectral._mode_coeffs`),
-    and evaluated with `modes` at t.
+    and evaluated with `modes` at t.  A point on or past the wall gets
+    `modes`' zero row, so the result there is zero.
     """
     m_list = _check_m_list(m_list)
-    rho, phi = r
+    rho, phi = _check_point(*r)
     sig = rho / geom.L(t)
-    if sig >= 1.0:  # `modes` would give zero too; this skips the projection
-        return 0.0 + 0.0j
     n_phi = max(64, 2 * max(m_list) + 1)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     total = 0.0 + 0.0j

@@ -101,10 +101,10 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
         kron = hb * np.tensordot(_W_KRON, vals, axes=([0], [1]))
         gauss = hb * np.tensordot(_W_GAUSS, vals, axes=([0], [1]))
         diff = np.abs(kron - gauss)
-        err = diff.reshape(diff.shape[0], -1).max(axis=1) if diff.ndim > 1 else diff
+        err = diff.reshape(diff.shape[0], -1).max(axis=1)
         if kron_out is None:
             kron_out = np.empty((lo.size,) + kron.shape[1:], dtype=kron.dtype)
-            comps = int(np.prod(kron.shape[1:])) if kron.ndim > 1 else 1
+            comps = int(np.prod(kron.shape[1:]))
             chunk = max(1, _CHUNK_ELEMS // (15 * comps))
         kron_out[start:stop] = kron
         err_out[start:stop] = err
@@ -157,21 +157,19 @@ def integrate(f, a: float, b: float, initial_panels: int = 8) -> QuadResult:
 
     while True:
         total = kron.sum(axis=0)
-        scale = float(np.max(np.abs(total))) if np.ndim(total) else abs(total)
-        target = max(ABS_TOL, REL_TOL * scale)
+        target = max(ABS_TOL, REL_TOL * float(np.max(np.abs(total))))
         total_err = float(err.sum())
         if not np.isfinite(total_err):
             raise NumericError(f"integrand is not finite: error estimate {total_err}")
+        value = total if np.ndim(total) else complex(total) if np.iscomplexobj(kron) else float(total)
         if total_err <= target:
-            value = total if np.ndim(total) else complex(total) if np.iscomplexobj(kron) else float(total)
             return QuadResult(value=value, err_estimate=total_err, panels_used=used)
 
+        # never empty: total_err > target, so the largest of the lo.size
+        # panel errors is at least total_err / lo.size > target / (2 lo.size)
         bad = err > target / (2.0 * lo.size)
-        if not np.any(bad):
-            bad = err == err.max()
         n_new = 2 * int(bad.sum())
         if used + n_new > PANEL_BUDGET:
-            value = total if np.ndim(total) else complex(total) if np.iscomplexobj(kron) else float(total)
             best = QuadResult(value=value, err_estimate=total_err, panels_used=used)
             raise BudgetExceededError(
                 f"panel budget {PANEL_BUDGET} exhausted at error {total_err:.3e} (target {target:.3e})",

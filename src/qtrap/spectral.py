@@ -324,7 +324,8 @@ def _gram(rule: _Rule, weight, right, left: int = 0, phase: float = 0.0) -> np.n
         for lo in range(0, panels, step):
             e = np.abs(_real_matmul(lp[lo:lo + step], diff[lo:lo + step] * rp[lo:lo + step]))
             err += float(e.reshape(e.shape[0], -1).max(axis=1).sum())
-        if err > max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat)))):
+        # a NaN estimate fails too, and the fallback's `integrate` raises on it
+        if not err <= max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat)))):
             mat = None
     if mat is None:
         def f(s):
@@ -561,7 +562,8 @@ def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
 
     def f(sigma):
         j = bessel_j(state.m, sigma[:, None] * zeros[None, :])
-        wave = modes(state.m, sigma, t, geom, state.n_max, drop_moving_phase, j) @ state.coeffs
+        wave = modes(state.m, sigma, t, geom, state.n_max, drop_moving_phase,
+                     bessel_block=j) @ state.coeffs
         return (sigma * wave)[:, None] * j
 
     res = integrate(f, 0.0, 1.0,
@@ -746,8 +748,6 @@ def uncertainties(m: int, n: int, t: float, geom: TrapGeometry,
     """
     if tables is not None and (tables.m != m or tables.n_max < n):
         raise DomainError(f"tables hold m={tables.m}, n <= {tables.n_max}; asked m={m}, n={n}")
-    if n < 1:
-        raise DomainError("radial index must be >= 1")
     dq, dp = (math.sqrt(_op_matrix(kind, m, t, geom, n)[n - 1, n - 1].real)
               for kind in ("q0sq", "p0sq"))
     return dq, dp, dq * dp

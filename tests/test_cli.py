@@ -159,6 +159,17 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, fragment", [("m 3", "expected key=value"),
+                                            ("m = abc", "config key m")],
+                         ids=["no-equals", "failed-cast"])
+def test_config_line_errors_exit_usage(tmp_path, capsys, text, fragment):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["zeros", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
+
+
 @pytest.mark.parametrize("key", ["a", "u", "hbar", "mu"])
 def test_config_units_rejected_outside_energy(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"

@@ -23,7 +23,7 @@ from qtrap.evolve import (
     visibility,
 )
 from qtrap.quad import integrate
-from qtrap.special import DomainError, bessel_j
+from qtrap.special import DomainError, NumericError, bessel_j
 from qtrap.spectral import TrapGeometry, coeffs_from_eigenstate
 
 
@@ -158,6 +158,55 @@ def test_kernels_reject_nan_and_negative_rho(rho):
         else:
             with pytest.raises(DomainError):
                 read()
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_kernels_reject_non_finite_phi(phi):
+    geom = TrapGeometry.from_alpha(1.2)
+
+    def src(rho_p, phi_p):
+        return psi_exact(0, 1, rho_p, phi_p, 0.0, geom)
+
+    reads = [lambda: propagator([0, 1], (0.5, phi), 0.2, (0.5, 0.0), 0.1, geom, n_max=20),
+             lambda: propagator([0, 1], (0.5, 0.3), 0.2, (0.4, phi), 0.1, geom, n_max=20),
+             lambda: propagate_through_kernel([0, 1], (0.5, phi), 0.2, src, 0.0, geom, n_max=20)]
+    for read in reads:
+        with pytest.raises(DomainError, match="phi"):
+            read()
+
+
+def test_kernel_checks_rho_before_projecting(monkeypatch):
+    geom = TrapGeometry.from_alpha(1.2)
+    calls = []
+    real = spectral._gram
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_gram", spy)
+
+    def src(rho_p, phi_p):
+        return psi_exact(0, 1, rho_p, phi_p, 0.0, geom)
+
+    with pytest.raises(DomainError, match="rho"):
+        propagate_through_kernel([0], (math.nan, 0.3), 0.2, src, 0.0, geom, n_max=20)
+    assert calls == []
+    # +inf passes the check, and the point past the wall reads zero
+    assert propagate_through_kernel([0], (math.inf, 0.3), 0.2, src, 0.0, geom, n_max=20) == 0.0
+    assert len(calls) == 1
+
+
+def test_kernel_rejects_non_finite_source():
+    # a NaN wave gives a NaN error estimate on the rule; the adaptive
+    # fallback then refuses it instead of returning NaN
+    geom = TrapGeometry.from_alpha(1.2)
+
+    def src(rho_p, phi_p):
+        return np.full(np.broadcast(rho_p, phi_p).shape, complex(math.nan, 0.0))
+
+    with pytest.raises(NumericError):
+        propagate_through_kernel([0], (0.5, 0.3), 0.2, src, 0.0, geom, n_max=20)
 
 
 def test_propagator_rejects_negative_m():
@@ -468,6 +517,14 @@ def test_visibility_of_flat_series_is_zero():
     assert visibility(flat, flight) == 0.0
 
 
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_visibility_of_short_series_is_zero(size):
+    flight = FlightTimes(T1=0.0, T2=1.0)
+    short = [evolve.RadialDensitySample(eta=1.0, T=t, rho_density=t)
+             for t in np.linspace(0.2, 0.8, size)]
+    assert visibility(short, flight) == 0.0
+
+
 def test_long_time_envelope_bounds_amplitude():
     geom = TrapGeometry.from_alpha(3.0)
     t, rho_obs = 40.0, 2.0
@@ -489,3 +546,24 @@ def test_long_time_envelope_rejects_non_finite(name, value):
     args = {"alpha": 3.0, "t": 40.0, name: value}
     with pytest.raises(DomainError, match=f"^{name} must be finite"):
         long_time_radial(0, 1, args["alpha"], 2.0, args["t"])
+
+
+_TYPED_ERRORS = {
+    # id: (call, fragment of the DomainError's message)
+    "psi-exact-n-0": (lambda: psi_exact(0, 0, 0.5, 0.0, 0.0, TrapGeometry()),
+                      "radial index must be >= 1"),
+    "timeseries-one-step": (lambda: density_timeseries(0, 1, 1.0, 1.0, 3.0, steps=1),
+                            "steps must be >= 2"),
+    "residual-grid-3": (lambda: pde_residual(0, 1, TrapGeometry(), 3), "grid must be >= 4"),
+    "envelope-static-wall": (lambda: long_time_radial(0, 1, 0.0, 0.1, 10.0), "expanding wall"),
+    "envelope-contracting-wall": (lambda: long_time_radial(0, 1, -0.5, 0.1, 1.0),
+                                  "expanding wall"),
+    "envelope-wall-not-past": (lambda: long_time_radial(0, 1, 1.0, 2.0, 1.0), "too early"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TYPED_ERRORS))
+def test_typed_errors(case):
+    call, fragment = _TYPED_ERRORS[case]
+    with pytest.raises(DomainError, match=fragment):
+        call()

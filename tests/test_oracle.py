@@ -130,6 +130,15 @@ def test_bad_indices_rejected():
         c1_closed(0, 0)
 
 
+@pytest.mark.parametrize("form, fragment", [(a3_closed, "angular index must be >= 0"),
+                                            (a_neg1_closed, "only m >= 1"),
+                                            (c1_closed, "angular index must be >= 0")],
+                         ids=["a3", "a_neg1", "c1"])
+def test_negative_order_rejected(form, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        form(-1, 1)
+
+
 def test_result_is_frozen():
     res = a3_closed(0, 1)
     with pytest.raises(AttributeError):

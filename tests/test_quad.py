@@ -137,6 +137,14 @@ def test_bad_integrand_shape_rejected():
         integrate(np.sin, 0.0, np.inf)
 
 
+@pytest.mark.parametrize("call", [lambda: integrate(np.sin, 0.0, 1.0, initial_panels=0),
+                                  lambda: quad.gk15_panels(0.0, 1.0, 0)],
+                         ids=["integrate", "gk15_panels"])
+def test_panel_count_below_one_rejected(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()
+
+
 @hyp.settings(max_examples=10, deadline=None)
 @hyp.given(st.floats(min_value=-3.0, max_value=3.0),
            st.floats(min_value=0.1, max_value=4.0))

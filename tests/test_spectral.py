@@ -804,3 +804,53 @@ def test_energy_ratio_static_is_one():
     isum, closed = energy_ratio_paths(0, 1, 0.0, geom)
     assert_allclose(isum, 1.0, atol=1e-12)
     assert_allclose(closed, 1.0, atol=1e-15)
+
+
+def test_non_finite_coefficients_raise_numeric_error():
+    # a NaN coefficient gives a NaN error estimate on the rule; the adaptive
+    # fallback then refuses it instead of returning NaN
+    geom = TrapGeometry.from_alpha(0.7)
+    coeffs = np.zeros(12, dtype=complex)
+    coeffs[:2] = 1.0, math.nan
+    state = spectral.SpectralState(m=0, alpha=geom.alpha, coeffs=coeffs)
+    with pytest.raises(NumericError):
+        b_coeffs(state, 0.3, geom)
+
+
+def _imaginary_operator(monkeypatch):
+    monkeypatch.setattr(spectral, "_op_matrix", lambda kind, m, t, geom, n: 1j * np.eye(n))
+    state = spectral.SpectralState(m=0, alpha=0.0, coeffs=[1.0, 0.0, 0.0])
+    return expectation("H", state, 0.0, TrapGeometry())
+
+
+def _routes_held_to_zero(monkeypatch):
+    monkeypatch.setattr(spectral, "_ENERGY_PATH_LIMIT", 0.0)
+    return energy_ratio(0, 1, 0.3, TrapGeometry.from_alpha(1.0), n_max=12)
+
+
+_TYPED_ERRORS = {
+    # id: (call taking monkeypatch, error type, fragment of its message)
+    "overlap-row-0": (lambda mp: overlap_I(0, 0, 1, 0.0, 1.0, TrapGeometry()),
+                      DomainError, "1-based"),
+    "overlap-column-negative": (lambda mp: overlap_I(0, 2, -1, 0.0, 1.0, TrapGeometry()),
+                                DomainError, "1-based"),
+    "eigenstate-n-0": (lambda mp: coeffs_from_eigenstate(0, 0, TrapGeometry()),
+                       DomainError, "need 1 <= n <= n_max"),
+    "eigenstate-n-past-nmax": (lambda mp: coeffs_from_eigenstate(0, 13, TrapGeometry(), n_max=12),
+                               DomainError, "need 1 <= n <= n_max"),
+    "energy-paths-n-0": (lambda mp: energy_ratio_paths(0, 0, 0.1, TrapGeometry()),
+                         DomainError, "need 1 <= n <= n_max"),
+    "energy-paths-n-past-nmax": (lambda mp: energy_ratio_paths(0, 9, 0.1, TrapGeometry(), n_max=8),
+                                 DomainError, "need 1 <= n <= n_max"),
+    "energy-routes-disagree": (_routes_held_to_zero, NumericError, "routes disagree"),
+    "expectation-imaginary": (_imaginary_operator, NumericError, "imaginary residual"),
+    "uncertainties-n-negative": (lambda mp: uncertainties(1, -1, 0.0, TrapGeometry()),
+                                 DomainError, "radial index"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TYPED_ERRORS))
+def test_typed_errors(monkeypatch, case):
+    call, error, fragment = _TYPED_ERRORS[case]
+    with pytest.raises(error, match=fragment):
+        call(monkeypatch)
