@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,7 +73,9 @@ def test_bessel_reference_values(m, x, expected):
 def test_bessel_against_scipy_sweep():
     rng = np.random.default_rng(7)
     worst = 0.0
-    for m in range(0, 51, 3):
+    # 50 and 51, which bessel_j_prime(50) calls, are where the upward
+    # recurrence after the Hankel start runs longest
+    for m in [*range(0, 51, 3), 50, 51]:
         x = rng.uniform(0.0, 200.0, size=300)
         mine = bessel_j(m, x)
         ref = sps.jv(m, x)
@@ -316,6 +319,33 @@ def test_hankel_term_count_bounds_the_tail():
     for mu in (0, 4):
         assert all(ratio(mu, j) < 1 for j in range(1, _HANKEL_TERMS)), mu
     assert ratio(0, _HANKEL_TERMS) >= 1
+
+
+def test_hankel_sums_match_term_by_term():
+    # the tabulated Horner sums against the same _HANKEL_TERMS - 1 terms
+    # summed one by one in 30-digit mpmath; P is near 1 and Q near 1/(8x), so
+    # P is held to 2 ulps of 1 and Q to 2 ulps of itself (measured: 0 and 0.9)
+    eps = np.spacing(1.0)
+    x = np.concatenate([[_HANKEL_FLOOR, 50.0, 188.0], np.geomspace(_HANKEL_FLOOR, X_MAX, 60)])
+    p, q = special._hankel_pq(x)
+    with mpmath.workdps(30):
+        for order, mu in enumerate((0, 4)):
+            for i, v in enumerate(x):
+                term, sums = mpmath.mpf(1), [mpmath.mpf(1), mpmath.mpf(0)]
+                for j in range(1, _HANKEL_TERMS):
+                    term *= (mu - (2 * j - 1) ** 2) / ((-1) ** (j + 1) * 8 * j * mpmath.mpf(v))
+                    sums[j % 2] += term
+                assert abs(p[order, i] - sums[0]) <= 2 * eps, (order, v)
+                assert abs(q[order, i] - sums[1]) <= 2 * eps * abs(sums[1]), (order, v)
+    # each coefficient against its exact rational: building c_j takes two
+    # roundings of half an ulp per factor, so j ulps at most (measured: 2.1)
+    for order, mu in enumerate((0, 4)):
+        exact = Fraction(1)
+        for j in range(_HANKEL_TERMS):
+            if j:
+                exact *= Fraction(mu - (2 * j - 1) ** 2, (-1) ** (j + 1) * 8 * j)
+            got = Fraction(float(special._HANKEL_PQ[j // 2, j % 2, order, 0]))
+            assert abs(got - exact) <= j * Fraction(eps) * abs(exact), (order, j)
 
 
 def test_series_twice_the_terms_changes_no_bit(monkeypatch):
