@@ -29,16 +29,19 @@ Three kinds of radial integral of Bessel blocks go through one product,
 rule over [0, 1] with the blocks h tabulated on its nodes, for a right factor
 formed at the nodes.  It carries its own per-panel K15 - G7 error estimate
 and falls back to adaptive quadrature when the estimate misses its target or
-the weight's phase outruns the rule.  The overlap rule holds J_m(x_mn s_j)
-once per (m, N_max); only the phase depends on (t, alpha).  Overlaps
-(`_i_matrix`) take the wave h u of the one vector u a caller needs, so no
-caller forms a whole overlap matrix (I is symmetric: a row is I e_n); the
-moment tables take the block h itself and keep the product unsymmetrized;
-projections of a wave onto the modes (`_mode_coeffs`, the kernel) take the
-wave's own samples, on the overlap rule under the overlaps' weight.  The
-real-space routes never read the rule: `b_coeffs_direct`, held against
-`b_coeffs` by the two-path check, and `coeffs_from_initial`, held against
-`coeffs_from_eigenstate`, integrate adaptively on their own panel layouts.
+the weight's phase outruns the rule.  Its panels, tabulated or adaptive, see
+at most half a period of total phase each (`_RULE_RADIANS`).  The overlap
+rule holds J_m(x_mn s_j) once per (m, N_max); only the phase depends on
+(t, alpha).  Overlaps (`_i_matrix`) take the wave h u of the one vector u a
+caller needs, so no caller forms a whole overlap matrix (I is symmetric: a
+row is I e_n); the moment tables take the block h itself and keep the
+product unsymmetrized; projections of a wave onto the modes (`_mode_coeffs`,
+the kernel) take the wave's own samples, on the overlap rule under the
+overlaps' weight.  The real-space routes never read the rule:
+`b_coeffs_direct`, held against `b_coeffs` by the two-path check, and
+`coeffs_from_initial`, held against `coeffs_from_eigenstate`, integrate
+adaptively on their own panel layouts, which start at one period per panel
+(`_PANEL_RADIANS`).
 
 Operator matrix elements in that moving basis are elementary in the zeros
 alone (`_zero_blocks`).  The six Bessel moment integrals of `moment_tables`,
@@ -191,15 +194,34 @@ def _zero(m: int, n: int) -> float:
 
 
 # Radians of total phase per panel of `quad.PANEL_BUDGET` that `_osc_panels`
-# accepts.  Measured at the budget of 20000: the largest phase that converged
-# was 2.4e4 for `energy_ratio_paths` (m = 0, n = 1, xi = 2e4) and 4e4 for a
-# chirp whose amplitude vanishes as (1 - s)^8 at the wall; no integrand tried
-# converged at 5e4, so the limit of 1e5 keeps a factor of 2.
+# accepts.  Measured at the budget of 20000, on 2 cores: the largest phase
+# that converged was 2.44e4 for `energy_ratio_paths` (m = 0, n = 1, xi = 2e4,
+# 1.7 s) and 4e4 for a chirp whose amplitude vanishes as (1 - s)^8 at the
+# wall (11984 panels); at 3.04e4 and 3.65e4 `energy_ratio_paths` spent the
+# budget in 1.1-1.2 s, and no integrand tried converged at 5e4, so the limit
+# of 1e5 keeps a factor of 2.  Past 1.3e4 every start is the 2048-panel cap,
+# so these figures do not depend on the radians per panel.
 _RADIANS_PER_BUDGET_PANEL = 5.0
 
+# Total phase each panel of a real-space route's adaptive start sees: one
+# period.  On the coefficient sweep of criterion 2 the direct route's K15 - G7
+# estimate then stays below 1e-2 of its target, and below 0.41 with states up
+# to m = 50 added, so no panel is refined.
+_PANEL_RADIANS = 2.0 * math.pi
 
-def _osc_panels(radians: float) -> int:
-    """Initial panel count so each panel sees at most ~pi of total phase.
+# Total phase each panel of a `_gram` sees, on a rule or in its fallback: half
+# a period.  The wall's chirp turns at twice its mean rate there: on a
+# one-period overlap rule (121 panels at m = 0, n_max = 60) the estimate
+# missed from 0.95-1 period per panel at the wall, a wall phase of 175 rad,
+# and a miss costs the whole product where an adaptive start splits a panel.
+# The fallback starts from the same layout: from one period, energy_ratio_paths
+# at a wall phase of 9.6e3 rad refined to 6483 panels against 4638.
+_RULE_RADIANS = math.pi
+
+
+def _osc_panels(radians: float, per_panel: float = _PANEL_RADIANS) -> int:
+    """Initial panel count so each panel sees at most `per_panel` of total
+    phase.
 
     Capped so a huge phase cannot demand gigabytes up front; past the cap the
     adaptive refinement takes over.  A phase beyond what the panel budget can
@@ -210,7 +232,7 @@ def _osc_panels(radians: float) -> int:
         raise NumericError(
             f"total phase {abs(radians):.4g} rad is beyond the {limit:.4g} rad that "
             f"quad.PANEL_BUDGET = {quad.PANEL_BUDGET} panels can resolve")
-    return min(max(8, int(math.ceil(abs(radians) / math.pi)) + 1), 2048)
+    return min(max(8, int(math.ceil(abs(radians) / per_panel)) + 1), 2048)
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +304,7 @@ def _bessel_grid(m: int, n_max: int) -> _Rule:
     zeros, _ = _zeros_cached(m, n_max)
     phase = 2.0 * float(zeros[-1])
     return _rule(lambda s: (bessel_j(m, s[:, None] * zeros[None, :]),),
-                 phase, _osc_panels(2.0 * phase))
+                 phase, _osc_panels(2.0 * phase, _RULE_RADIANS))
 
 
 def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -302,16 +324,17 @@ def _gram(rule: _Rule, weight, right, left: int = 0, phase: float = 0.0) -> np.n
     columns, and the result is (columns of h_left, k); the weight is put on
     the narrow side, h_left^T (w right).  `phase` is the weight's own total
     phase.  The product is taken on the rule, `right` called once on all its
-    nodes and tabulated blocks, when its panels see at most pi each of that
-    phase and the blocks' together, and the per-panel K15 - G7 blocks of the
-    result (formed `_ERR_CHUNK_ELEMS` elements at a time, their worst
-    components summed as `integrate` does) meet `integrate`'s default target.
-    Otherwise it is adaptive `integrate` from `_osc_panels` of the total
-    phase, with the integrand of the same width as the result.
+    nodes and tabulated blocks, when its panels see at most `_RULE_RADIANS`
+    each of that phase and the blocks' together, and the per-panel K15 - G7
+    blocks of the result (formed `_ERR_CHUNK_ELEMS` elements at a time, their
+    worst components summed as `integrate` does) meet `integrate`'s default
+    target.
+    Otherwise it is adaptive `integrate` from `_RULE_RADIANS` per panel of
+    the total phase, with the integrand of the same width as the result.
     """
     mat = None
     panels, nodes = rule.w_kron.shape
-    if phase <= math.pi * panels - rule.phase:
+    if phase <= _RULE_RADIANS * panels - rule.phase:
         w = weight(rule.s)
         lb = rule.tab[left]
         rb = right(rule.s.ravel(), rule.tab)
@@ -332,7 +355,8 @@ def _gram(rule: _Rule, weight, right, left: int = 0, phase: float = 0.0) -> np.n
             h = rule.blocks(s)
             return weight(s)[:, None, None] * h[left][:, :, None] * right(s, h)[:, None, :]
 
-        res = integrate(f, 0.0, 1.0, initial_panels=_osc_panels(phase + rule.phase))
+        res = integrate(f, 0.0, 1.0,
+                        initial_panels=_osc_panels(phase + rule.phase, _RULE_RADIANS))
         mat = np.asarray(res.value)
     return mat
 
@@ -612,8 +636,10 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
 
     Each quadrature is one `_gram` of the blocks g and g' under the weight
     s^k, on a rule of the tables' own (not the overlap rule `_bessel_grid`)
-    laid out as adaptive quadrature would start (`_osc_panels(2 x_max)`
-    panels).  g' is formed from J_{m-1} and the g block itself.
+    laid out at `_RULE_RADIANS` per panel of the blocks' phase 2 x_max (121
+    panels at m = 0, n_max = 60): on one-period panels the full n x n
+    self-products miss their target.  g' is formed from J_{m-1} and the g
+    block itself.
     """
     return _moment_tables(m, n_max)
 
@@ -632,7 +658,7 @@ def _moment_tables(m: int, n_max: int) -> MomentTable:
         return j, zeros[None, :] * bessel_j(m - 1, sx) - (m / s)[:, None] * j
 
     phase = 2.0 * float(zeros[-1])
-    rule = _rule(blocks, phase, _osc_panels(phase))
+    rule = _rule(blocks, phase, _osc_panels(phase, _RULE_RADIANS))
 
     def product(k, left, right):  # blocks 0 = g, 1 = g'
         return _gram(rule, lambda s: s ** k, lambda s, h: h[right], left)

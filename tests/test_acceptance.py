@@ -113,6 +113,43 @@ def test_criterion_03_two_path_coefficients(coefficient_sweep):
     assert ok
 
 
+def test_criterion_02_corners_need_no_refinement(monkeypatch):
+    # at the ends of each sweep range the direct route's start, one period of
+    # phase per GK15 panel, meets the target on the first estimate and refines
+    # no panel; b_coeffs and an m = 5 kernel read stay on the overlap rule
+    real = spectral.integrate
+    calls = []
+
+    def spy(f, a, b, initial_panels=8):
+        res = real(f, a, b, initial_panels=initial_panels)
+        calls.append((initial_panels, res.panels_used))
+        return res
+
+    monkeypatch.setattr(spectral, "integrate", spy)
+    x5 = _x(5, 1)
+    for ratio in SWEEP_RATIOS:
+        xis = XI_EXPAND if ratio > 0 else XI_CONTRACT
+        for xi in (xis[0], xis[-1]):
+            for m, n in SWEEP_MODES:
+                geom = TrapGeometry.from_alpha(ratio * 0.5 * _x(m, n))
+                state = spectral.coeffs_from_eigenstate(m, n, geom)
+                t = (xi - 1.0) / geom.u
+                calls.clear()
+                spectral.b_coeffs(state, t, geom)
+                assert calls == [], (m, n, ratio, xi)
+                spectral.b_coeffs_direct(state, t, geom)
+                assert len(calls) == 1 and calls[0][1] == calls[0][0], (m, n, ratio, xi, calls)
+
+            geom = TrapGeometry.from_alpha(ratio * 0.5 * x5)
+            t = (xi - 1.0) / geom.u
+            r = (0.5 * geom.L(t), 1.1)
+            calls.clear()
+            via_kernel = propagate_through_kernel(
+                [5], r, t, lambda rho, phi: psi_exact(5, 1, rho, phi, t, geom), t, geom)
+            assert calls == [], (ratio, xi)
+            assert abs(via_kernel - psi_exact(5, 1, r[0], r[1], t, geom)) < 1e-10
+
+
 # --------------------------------------------------------------------------
 # 4. The exact mode satisfies the equation of motion to O(h^2)
 

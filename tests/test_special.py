@@ -100,6 +100,18 @@ def test_bessel_large_argument_phase():
         assert np.max(err) <= 2e-15, m
 
 
+@pytest.mark.parametrize("m", [40, 51])
+def test_bessel_just_past_order(m):
+    # just past x = m the float64 upward recurrence is longest: the module
+    # docstring's 8.0e-15 of the amplitude, which the grid of the test above,
+    # from x = 50, does not reach at m = 40
+    x = np.linspace(m, m + 30.0, 201)[1:]
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.besselj(m, mpmath.mpf(v))) for v in x])
+    err = np.abs(bessel_j(m, x) - want) / np.sqrt(2.0 / (np.pi * x))
+    assert np.max(err) <= 1e-14
+
+
 def test_bessel_array_shape_and_scalar():
     out = bessel_j(4, np.ones((3, 2)))
     assert out.shape == (3, 2)

@@ -265,6 +265,7 @@ def test_overlap_products_memory():
     # rule's block is 3615 x 60 floats (1.7 MB), and no call may copy it or
     # build the 60 x 60 matrix's per-panel error blocks (about 0.95 MB
     # measured; 10.2 MB with the full matrix)
+    block = spectral._bessel_grid(0, 60).tab[0].nbytes
     geom = TrapGeometry.from_alpha(1.0)
     state = coeffs_from_eigenstate(0, 1, geom)
     calls = (lambda: b_coeffs(state, 0.5, geom),
@@ -279,6 +280,7 @@ def test_overlap_products_memory():
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+        assert peak < block
 
 
 def test_direct_coefficients_do_not_read_overlap_rule(monkeypatch):
