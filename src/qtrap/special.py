@@ -1,12 +1,13 @@
 """Real special functions built from scratch: Bessel J_m, its derivative and
-positive zeros, and a guarded generalized hypergeometric series.  Every
-routine is float64 throughout, so none depends on the platform's long
-double.  Each route of J_m runs only where it does not cancel: the
-ascending series, 13 terms, for x <= 2; Miller's backward recurrence for
-2 < x <= max(15.3, m); past that, J_0 and J_1 from `_HANKEL_TERMS` Hankel
-terms and upward recurrence to m, which then runs only through k < x.  The
-Hankel P and Q are polynomials in 1/x^2 (Q after a factor 1/x); their fixed
-coefficients are tabulated once at import and summed by Horner's rule.
+positive zeros, and an exact generalized hypergeometric sum.  The Bessel
+routines are float64 throughout and `pfq` sums in Python integers, so none
+depends on the platform's long double.  Each route of J_m runs only where
+it does not cancel: the ascending series, 13 terms, for x <= 2; Miller's
+backward recurrence for 2 < x <= max(15.3, m); past that, J_0 and J_1 from
+`_HANKEL_TERMS` Hankel terms and upward recurrence to m, which then runs
+only through k < x.  The Hankel P and Q are polynomials in 1/x^2 (Q after a
+factor 1/x); their fixed coefficients are tabulated once at import and
+summed by Horner's rule.
 
 Everything in this module is pure and reentrant.  No caching happens here;
 callers that want tables cache them themselves.
@@ -31,7 +32,6 @@ import numpy as np
 __all__ = [
     "DomainError",
     "NumericError",
-    "CancellationError",
     "NonConvergence",
     "BesselZeroTable",
     "bessel_j",
@@ -53,10 +53,6 @@ class DomainError(ValueError):
 
 class NumericError(RuntimeError):
     """An iteration failed to meet its own stopping criterion."""
-
-
-class CancellationError(NumericError):
-    """Alternating series lost too many digits; caller should fall back."""
 
 
 class NonConvergence(NumericError):
@@ -305,21 +301,50 @@ def _newton_zeros(m: int, x: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Generalized hypergeometric series
 
-# Refuse a sum whose rounding error, about eps times its largest term, may
-# pass 1e-11 of it, and any term that _PFQ_BUDGET terms of its size could
-# overflow.
-_PFQ_GUARD = 1e-11 / np.finfo(float).eps
+# Every sum the oracle makes at a zero x <= X_MAX has terms below e^(2 x):
+# times its leading coefficient, at least 1 there, they are those of a
+# Bessel square J_m(x)^2, below those of I_m(x)^2 <= e^(2 x) (x^2 I_m(x)^2
+# for c1's gradient, within the 64 bits of slack).  A term past
+# 2^_PFQ_PEAK_BITS marks a sum that runs away.
 _PFQ_BUDGET = 50_000
-_PFQ_OVERFLOW = np.finfo(float).max / _PFQ_BUDGET
+_PFQ_PEAK_BITS = 2.0 * X_MAX / math.log(2.0) + 64.0
+
+
+def _fixed_sum(up, down, z, shift: int) -> tuple[int, int]:
+    """The sum of pFq's terms in integer units of 2^-shift, and the bit
+    length of the largest term.  `up`, `down` and `z` are (numerator,
+    denominator) pairs; term k + 1 is term k times
+    z prod(a + k) / ((k + 1) prod(b + k)), floored."""
+    num0 = z[0] * math.prod(q for _, q in down)
+    den0 = z[1] * math.prod(q for _, q in up)
+    term = total = 1 << shift
+    bits = shift + 1
+    for k in range(_PFQ_BUDGET):
+        num, den = num0, den0 * (k + 1)
+        for p, q in up:
+            num *= p + k * q
+        for p, q in down:
+            den *= p + k * q
+        term = term * num // den
+        if -1 <= term <= 0:  # below one unit: 0, or -1 once floored
+            return total, bits
+        total += term
+        if term.bit_length() > bits:
+            bits = term.bit_length()
+    raise NonConvergence(f"pfq did not converge within {_PFQ_BUDGET} terms")
 
 
 def pfq(a, b, z: float) -> float:
-    """Partial-sum evaluation of pFq(a; b; z) for p <= 3, q <= 4.
+    """pFq(a; b; z) for p <= 3, q <= 4, summed exactly and correctly rounded.
 
-    Terms are accumulated in float64 with a running cancellation guard:
-    if (max partial term)/|sum| exceeds `_PFQ_GUARD` the value cannot be
-    trusted and CancellationError is raised so the caller can take another
-    route.
+    The parameters and z are taken as the exact rationals their doubles
+    hold, and the terms as one fixed-point integer with S bits below the
+    point, S = log2(largest term / |sum|) + 64, so no cancellation can reach
+    the result.  A float walk to the largest term sizes the first S as if
+    |sum| were 1 / (largest term); where the integers show that S fell
+    short, the sum is redone once at the S they measure.  A term past
+    2^_PFQ_PEAK_BITS (or one whose float products overflow) and a sum that
+    needs more than _PFQ_BUDGET terms raise NonConvergence.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -330,34 +355,29 @@ def pfq(a, b, z: float) -> float:
             raise DomainError(f"lower parameter {bi} is a nonpositive integer (pole)")
     z = float(z)
 
-    term = total = max_term = 1.0
-    settled = 0
+    peak = 0.0  # log2 of the largest term
     for k in range(_PFQ_BUDGET):
-        num = 1.0
+        num, den = 1.0, k + 1.0
         for ai in a:
             num *= ai + k
-        den = k + 1.0
         for bi in b:
             den *= bi + k
-        term = term * num / den * z
-        total += term
-        at = abs(term)
-        if at > max_term:
-            max_term = at
-        if not at <= _PFQ_OVERFLOW:  # NaN too: an overflowed product times z = 0
-            raise CancellationError(f"hypergeometric term {at} at k = {k}: "
-                                    "term products overflow float64 range")
-        if at <= 1e-24 * max(abs(total), 1e-300):
-            settled += 1
-            if settled >= 3:
-                break
-        else:
-            settled = 0
+        ratio = abs(num / den * z)
+        if ratio < 1.0:  # past the largest term, or the sum ends (ratio 0)
+            break
+        peak += math.log2(ratio)  # NaN or inf where the products overflowed
+        if not peak <= _PFQ_PEAK_BITS:
+            raise NonConvergence(f"hypergeometric term 2^{peak:.0f} at k = {k} is past "
+                                 f"2^{_PFQ_PEAK_BITS:.0f}: the sum runs away")
     else:
-        raise NonConvergence(f"pfq did not converge within {_PFQ_BUDGET} terms")
+        raise NonConvergence(f"pfq did not reach its largest term within {_PFQ_BUDGET} terms")
 
-    if abs(total) == 0.0 or max_term / abs(total) > _PFQ_GUARD:
-        raise CancellationError(
-            f"cancellation guard tripped: max term / |sum| = {max_term / max(abs(total), 1e-300):.3e}"
-        )
-    return total
+    exact = ([v.as_integer_ratio() for v in a], [v.as_integer_ratio() for v in b],
+             z.as_integer_ratio())
+    shift = int(2.0 * peak) + 64
+    total, bits = _fixed_sum(*exact, shift)
+    need = bits - total.bit_length() + 65
+    if need > shift:
+        shift = need
+        total, _ = _fixed_sum(*exact, shift)
+    return total / (1 << shift)

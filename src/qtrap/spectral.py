@@ -44,11 +44,13 @@ adaptively on their own panel layouts, which start at one period per panel
 (`_PANEL_RADIANS`).
 
 Operator matrix elements in that moving basis are elementary in the zeros
-alone (`_zero_blocks`).  The six Bessel moment integrals of `moment_tables`,
-products on a rule of their own with the J and x J' blocks, are the
-quadrature reference these and the oracle's closed forms are held against;
-no operator reads them.  Zero tables, overlap rules and moment tables are
-each built once per (m, size) by a `functools.cache` builder.
+alone (`_zero_blocks`, the Lommel integrals).  The six Bessel moment
+integrals of `moment_tables`, products on a rule of their own with the J and
+x J' blocks, are the quadrature reference these and the oracle's closed
+forms, exact hypergeometric sums that share neither route's numerics, are
+held against; no operator reads them.  Zero tables, overlap rules and
+moment tables are each built once per (m, size) by a `functools.cache`
+builder.
 """
 
 from __future__ import annotations
@@ -638,7 +640,7 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
     s^k, on a rule of the tables' own (not the overlap rule `_bessel_grid`)
     laid out at `_RULE_RADIANS` per panel of the blocks' phase 2 x_max (121
     panels at m = 0, n_max = 60): on one-period panels the full n x n
-    self-products miss their target.  g' is formed from J_{m-1} and the g
+    self-products miss their target.  g' is formed from J_{m+1} and the g
     block itself.
     """
     return _moment_tables(m, n_max)
@@ -650,12 +652,10 @@ def _moment_tables(m: int, n_max: int) -> MomentTable:
 
     def blocks(s):
         # g = J_m(x s) and g' = x J_m'(x s), the latter from the J_m block:
-        # J_m' = J_{m-1} - (m / z) J_m, and J_0' = -J_1
+        # J_m' = (m / z) J_m - J_{m+1}, which holds at m = 0 as well
         sx = s[:, None] * zeros[None, :]
         j = bessel_j(m, sx)
-        if m == 0:
-            return j, -zeros[None, :] * bessel_j(1, sx)
-        return j, zeros[None, :] * bessel_j(m - 1, sx) - (m / s)[:, None] * j
+        return j, (m / s)[:, None] * j - zeros[None, :] * bessel_j(m + 1, sx)
 
     phase = 2.0 * float(zeros[-1])
     rule = _rule(blocks, phase, _osc_panels(phase, _RULE_RADIANS))
@@ -677,12 +677,6 @@ def _moment_tables(m: int, n_max: int) -> MomentTable:
 # --------------------------------------------------------------------------
 # Matrix elements and expectation values
 
-def _lommel_diagonals(m: int, x):
-    """The diagonals of A3 and K in `_zero_blocks`, at zeros x of J_m."""
-    xsq = x * x
-    return (xsq + 2.0 * (m * m - 1)) / (6.0 * xsq), 0.5 * xsq
-
-
 def _zero_blocks(m: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(A1, A3, B2, K) / (|J_{m+1}(x_i)| |J_{m+1}(x_j)|) from the zeros x_i alone.
 
@@ -698,11 +692,10 @@ def _zero_blocks(m: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     gap = np.subtract.outer(xsq, xsq)
     np.fill_diagonal(gap, 1.0)
     a3 = 4.0 * np.outer(sx, sx) / gap ** 2
-    a3_diag, kinetic = _lommel_diagonals(m, x)
-    np.fill_diagonal(a3, a3_diag)
+    np.fill_diagonal(a3, (xsq + 2.0 * (m * m - 1)) / (6.0 * xsq))
     np.fill_diagonal(gap, 0.0)
     a1 = 0.5 * np.eye(n_max)
-    return a1, a3, -a1 - 0.25 * gap * a3, np.diag(kinetic)
+    return a1, a3, -a1 - 0.25 * gap * a3, np.diag(0.5 * xsq)
 
 
 def _op_matrix(op_kind: str, m: int, t: float, geom: TrapGeometry,

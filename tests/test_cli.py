@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtrap import cli, oracle, spectral
+from qtrap import cli, spectral
 from qtrap.cli import EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from qtrap.special import CancellationError, bessel_zeros
+from qtrap.special import bessel_zeros
 
 
 def _parse(text):
@@ -404,16 +404,6 @@ def test_verify_truncation_guard_fails_when_guard_does_not_fire(monkeypatch, cap
     entry = _verify_failing("truncation_guard", monkeypatch, capsys)
     assert entry["pass"] is False
     assert "truncation guard let norm deficit" in entry["error"]
-
-
-def test_verify_oracle_hypergeometric_needs_hypergeometric_values(monkeypatch, capsys):
-    def always_cancel(a, b, z):
-        raise CancellationError("cancellation guard tripped")
-
-    monkeypatch.setattr(oracle, "pfq", always_cancel)
-    entry = _verify_failing("oracle_hypergeometric", monkeypatch, capsys)
-    assert entry["pass"] is False
-    assert entry["error"].startswith("NumericError: 0 values took the hypergeometric path")
 
 
 _BUILDERS = ((spectral, "_zero_table"), (spectral, "_bessel_grid"),

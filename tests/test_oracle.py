@@ -1,5 +1,7 @@
 """Closed-form diagonal moment integrals against high-precision references."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from numpy.testing import assert_allclose
 from qtrap import oracle
 from qtrap.oracle import (
     PATH_HYPER,
-    PATH_LOMMEL,
     a3_closed,
     a_neg1_closed,
     c1_closed,
@@ -73,22 +74,15 @@ def test_c1_values(m, n, expected):
     assert_allclose(res.value, expected, rtol=1e-11)
 
 
+def _forms(m):
+    return (a3_closed, c1_closed) + ((a_neg1_closed,) if m else ())
+
+
 def test_route_selection():
-    # small zeros keep the raw hypergeometric sums convergent; larger ones
-    # must fall back to the Lommel forms instead of returning garbage
-    assert a3_closed(0, 1).path == PATH_HYPER
-    assert a3_closed(1, 1).path == PATH_HYPER
-    assert a3_closed(3, 1).path == PATH_HYPER
-    assert c1_closed(1, 1).path == PATH_HYPER
-    assert a3_closed(3, 2).path == PATH_LOMMEL
-    assert a3_closed(0, 4).path == PATH_LOMMEL
-    assert a3_closed(3, 3).path == PATH_LOMMEL
-    assert a3_closed(2, 2).path == PATH_LOMMEL
-    assert c1_closed(0, 1).path == PATH_LOMMEL
-    assert c1_closed(0, 9).path == PATH_LOMMEL
-    assert c1_closed(1, 4).path == PATH_LOMMEL
-    assert a_neg1_closed(1, 4).path == PATH_LOMMEL
-    assert a_neg1_closed(2, 4).path == PATH_LOMMEL
+    # one route: every value over m <= 5, n <= 20 and at m = 50 is the
+    # paper's hypergeometric form
+    assert {form(m, n).path for m in (0, 1, 2, 3, 4, 5, 50) for n in range(1, 21)
+            for form in _forms(m)} == {PATH_HYPER}
 
 
 def _integrand(form, m, x):
@@ -103,19 +97,41 @@ def _integrand(form, m, x):
 
 
 def test_routes_cross_validate():
-    # every value, on whichever path it took, against adaptive quadrature
-    # of its defining integral
-    paths = set()
+    # every value, all on the hypergeometric path, against adaptive
+    # quadrature of its defining integral
     for m in range(4):
         for n in range(1, 6):
             x = bessel_zeros(m, n).zeros[n - 1]
-            for form in (a3_closed, c1_closed) + ((a_neg1_closed,) if m else ()):
-                res = form(m, n)
-                paths.add(res.path)
+            for form in _forms(m):
                 ref = integrate(_integrand(form, m, x), 0.0, 1.0,
                                 initial_panels=max(8, int(x))).value
-                assert_allclose(res.value, ref, rtol=1e-10, err_msg=f"{form.__name__}{m, n}")
-    assert paths == {PATH_HYPER, PATH_LOMMEL}
+                assert_allclose(form(m, n).value, ref, rtol=1e-10,
+                                err_msg=f"{form.__name__}{m, n}")
+
+
+def _lommel_reference(m, n):
+    """{form: value} at the n-th zero of J_m by the Lommel forms (Watson,
+    5.11), in 30-digit mpmath: a route neither the oracle nor the package's
+    quadrature takes."""
+    with mpmath.workdps(30):
+        x = mpmath.besseljzero(m, n)
+        jsq = mpmath.besselj(m + 1, x) ** 2
+        ref = {a3_closed: jsq * (x * x + 2 * (m * m - 1)) / (6 * x * x),
+               c1_closed: -x * x * jsq / 2}
+        if m:
+            tail = sum(mpmath.besselj(k, x) ** 2 for k in range(1, m))
+            ref[a_neg1_closed] = (1 - mpmath.besselj(0, x) ** 2 - 2 * tail) / (2 * m)
+            ref[c1_closed] += m * m * ref[a_neg1_closed]
+        return ref
+
+
+def test_every_value_against_mpmath():
+    # all 340 values at m <= 5, n <= 20, and m = 50, n <= 20
+    for m in (0, 1, 2, 3, 4, 5, 50):
+        for n in range(1, 21):
+            for form, want in _lommel_reference(m, n).items():
+                rel = float(abs((form(m, n).value - want) / want))
+                assert rel <= 1e-13, (form.__name__, m, n, rel)
 
 
 def test_m0_inverse_moment_rejected():
@@ -149,9 +165,22 @@ def test_c1_m0_closed_form_is_exact():
     # -x^2 J_1(x)^2 / 2 at a zero of J_0
     for n in (1, 5, 12):
         x = bessel_zeros(0, n).zeros[n - 1]
-        res = c1_closed(0, n)
-        assert res.path == PATH_LOMMEL
-        assert_allclose(res.value, -x ** 2 * bessel_j(1, x) ** 2 / 2.0, rtol=1e-14)
+        assert_allclose(c1_closed(0, n).value, -x ** 2 * bessel_j(1, x) ** 2 / 2.0, rtol=1e-14)
+
+
+def test_closed_forms_evaluate_no_bessel_function(monkeypatch):
+    # the oracle's route shares no Bessel evaluation with the routes it is
+    # held against: with its Bessel bindings made to raise, every form
+    # still returns
+    def refuse(*args):
+        raise AssertionError("the oracle evaluated a Bessel function")
+
+    for name in ("bessel_j", "bessel_j_prime"):
+        monkeypatch.setattr(oracle, name, refuse)
+    for m in (0, 1, 5, 50):
+        for n in (1, 7, 20):
+            for form in _forms(m):
+                assert math.isfinite(form(m, n).value)
 
 
 def test_oracle_is_float64_only(monkeypatch):

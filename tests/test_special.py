@@ -15,7 +15,6 @@ import hypothesis.strategies as st
 import mpmath
 
 from qtrap.special import (
-    CancellationError,
     DomainError,
     NonConvergence,
     NumericError,
@@ -410,27 +409,16 @@ PFQ_REFERENCE = [
 
 @pytest.mark.parametrize("a,b,z,expected", PFQ_REFERENCE)
 def test_pfq_reference_values(a, b, z, expected):
-    if z == -100.0:
-        # its largest term is 1.64e5 of the sum, past the guard's 4.5e4 in
-        # float64: refused rather than returned with too few digits
-        with pytest.raises(CancellationError):
-            pfq(a, b, z)
-        return
-    assert_allclose(pfq(a, b, z), expected, rtol=1e-12)
+    # at z = -100 the largest term is 1.64e5 times the sum
+    assert_allclose(pfq(a, b, z), expected, rtol=1e-14)
 
 
 def test_pfq_is_float64_only(monkeypatch):
-    # with long double made float64, every sum gives the same bits or the
-    # same refusal
-    def outcome(a, b, z):
-        try:
-            return pfq(a, b, z)
-        except CancellationError as exc:
-            return type(exc)
-
-    fixed = [outcome(a, b, z) for a, b, z, _ in PFQ_REFERENCE]
+    # no step reaches long double: with it made float64, every sum gives the
+    # same bits
+    fixed = [pfq(a, b, z) for a, b, z, _ in PFQ_REFERENCE]
     monkeypatch.setattr(special.np, "longdouble", np.float64)
-    assert [outcome(a, b, z) for a, b, z, _ in PFQ_REFERENCE] == fixed
+    assert [pfq(a, b, z) for a, b, z, _ in PFQ_REFERENCE] == fixed
 
 
 def test_pfq_trivial_and_domain():
@@ -441,48 +429,89 @@ def test_pfq_trivial_and_domain():
         pfq((1.0,), (-3.0, 2.0), 1.0)
 
 
-def test_pfq_limits_follow_float64():
-    f64 = np.finfo(float)
-    assert np.isfinite(special._PFQ_OVERFLOW) and special._PFQ_OVERFLOW < f64.max
-    assert special._PFQ_GUARD * f64.eps <= 1.1e-11
+def _peak_bits(a, b, z):
+    """log2 of the largest term of pFq(a; b; z), z < 0, from log-gamma."""
+    k = np.arange(int(4 * math.sqrt(-z)) + 10, dtype=float)
+    log_term = (sum(sps.gammaln(ai + k) - sps.gammaln(ai) for ai in a)
+                - sum(sps.gammaln(bi + k) - sps.gammaln(bi) for bi in b)
+                - sps.gammaln(k + 1.0) + k * math.log(-z))
+    return float(np.max(log_term)) / math.log(2.0)
+
+
+def test_pfq_peak_bound_admits_the_oracle_at_x_max():
+    # the refusal bound sits above the largest term of every form the oracle
+    # sums, at any order, up to x = X_MAX, and within 128 bits of the
+    # largest of them; a divergent 3F1 is refused at the bound
+    z = -X_MAX * X_MAX
+    peaks = []
+    for m in (0, 1, 5, 50):
+        forms = [((m + 0.5, m + 2.0), (m + 1.0, m + 3.0, 2.0 * m + 1.0))]
+        if m:
+            forms += [((m, m + 0.5), (m + 1.0, m + 1.0, 2.0 * m + 1.0)),
+                      ((m + 0.5, m + 1.0, m + 1.0), (m, m + 2.0, m + 2.0, 2.0 * m + 1.0))]
+        else:
+            forms += [((1.5,), (3.0, 3.0))]
+        peaks += [_peak_bits(a, b, z) for a, b in forms]
+    assert max(peaks) < special._PFQ_PEAK_BITS < max(peaks) + 128
+    with pytest.raises(NonConvergence, match="runs away"):
+        pfq((1.0, 1.0, 1.0), (2.0,), -2.0)
 
 
 def test_pfq_cancellation_guard():
-    # alternating series with huge intermediate terms must refuse, not lie
-    with pytest.raises((CancellationError, NonConvergence)):
-        pfq((2.0, 3.0), (1.0, 1.0, 1.0), -1e4)
+    # alternating series with huge intermediate terms (the largest is 2^284
+    # times the sum) come out exact: the fixed point runs 64 bits past them
+    with mpmath.workdps(30):
+        want = mpmath.hyper([2, 3], [1, 1, 1], -10000)
+    assert_allclose(pfq((2.0, 3.0), (1.0, 1.0, 1.0), -1e4), float(want), rtol=1e-14)
+
+
+def test_pfq_redo_runs_where_the_first_shift_falls_short(monkeypatch):
+    # a3's 2F3 at m = 50, n = 1 is 2^-94 of its largest term, 2^37: past the
+    # first shift's allowance of 2 * 37 bits, so the one redo sums it again
+    # at the shift the integers measured
+    shifts = []
+
+    def spy(up, down, z, shift):
+        shifts.append(shift)
+        return fixed_sum(up, down, z, shift)
+
+    fixed_sum = special._fixed_sum
+    monkeypatch.setattr(special, "_fixed_sum", spy)
+    x = float(bessel_zeros(50, 1).zeros[0])
+    a, b = (50.5, 52.0), (51.0, 53.0, 101.0)
+    value = pfq(a, b, -x * x)
+    assert len(shifts) == 2 and shifts[1] > shifts[0]
+    with mpmath.workdps(30):
+        want = mpmath.hyper(a, b, -mpmath.mpf(x) ** 2)
+    assert_allclose(value, float(want), rtol=1e-14)
 
 
 @pytest.mark.parametrize("z", [0.0, -2.0])
 def test_pfq_overflowed_terms_refuse_at_once(z):
-    # the term products overflow float64: times z = 0 each term is NaN, which
-    # must be refused at once, as the inf terms are at z = -2, not summed to
-    # the end of the term budget
-    with pytest.raises(CancellationError, match="overflow float64") as info:
+    # the term products overflow float64 in the float walk that sizes the
+    # fixed point: times z = 0 each term is NaN, at z = -2 it is inf, and
+    # both are refused at the first term
+    with pytest.raises(NonConvergence, match="runs away") as info:
         pfq((1e200, 1e200), (1.5,), z)
-    assert "at k = 0:" in str(info.value)
+    assert "at k = 0 " in str(info.value)
+
+
+def _j0(x):
+    with mpmath.workdps(30):
+        return float(mpmath.besselj(0, x))
 
 
 @hyp.settings(max_examples=10, deadline=None)
 @hyp.given(st.floats(min_value=0.1, max_value=15.0))
 def test_pfq_0f1_is_scaled_bessel(x):
-    # J_0(x) = 0F1(; 1; -x^2/4): right wherever the sum returns, and refused
-    # by its own cancellation guard elsewhere
-    try:
-        value = pfq((), (1.0,), -x * x / 4.0)
-    except CancellationError:
-        return
-    assert_allclose(value, bessel_j(0, x), rtol=1e-9, atol=1e-12)
+    # J_0(x) = 0F1(; 1; -x^2/4)
+    assert abs(pfq((), (1.0,), -x * x / 4.0) - _j0(x)) <= 1e-15
 
 
-def test_pfq_0f1_refuses_only_near_zeros():
-    # in float64 the sum for J_0 is refused within 0.02 of J_0's zeros 5.5201
-    # and 8.6537, where |J_0| is small against the largest term, and from
-    # x = 11.52 on; everywhere else on [0.1, 11.5] it returns
-    x = np.linspace(0.1, 11.5, 1141)
-    near_zero = (np.abs(x - 5.5201) < 0.02) | (np.abs(x - 8.6537) < 0.02)
-    for xi in x[~near_zero]:
-        pfq((), (1.0,), -xi * xi / 4.0)
-    for zero in (5.5201, 8.6537):
-        with pytest.raises(CancellationError):
-            pfq((), (1.0,), -zero * zero / 4.0)
+def test_pfq_0f1_holds_near_zeros():
+    # on [0.1, 15], and within 0.02 of J_0's five zeros there, where |J_0|
+    # is small against the largest term, the sum gives J_0 to 1e-15
+    zeros = [float(mpmath.besseljzero(0, n)) for n in range(1, 6)]
+    x = np.concatenate([np.linspace(0.1, 15.0, 150)]
+                       + [np.linspace(z - 0.02, z + 0.02, 9) for z in zeros])
+    assert max(abs(pfq((), (1.0,), -xi * xi / 4.0) - _j0(xi)) for xi in x) <= 1e-15
