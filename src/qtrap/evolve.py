@@ -265,9 +265,10 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
     The periodic trapezoid rule on max(64, 2 max(m_list) + 1) angles, exact
     for the frequencies 0 and 2m, splits off the part of each m (both angular
     branches for m > 0, as in `propagator`); that part is projected onto the
-    modes at t' on the tabulated overlap rule, with adaptive quadrature as
-    the fallback where the rule does not suffice (`spectral._mode_coeffs`),
-    and evaluated with `modes` at t.  A point on or past the wall gets
+    modes at t' on the overlap rule the wall phase at t' needs, sampled in
+    one call on its radii, with adaptive quadrature as the fallback where the
+    rule does not suffice (`spectral._mode_coeffs`), and evaluated with
+    `modes` at t.  A point on or past the wall gets
     `modes`' zero row, so the result there is zero.
     """
     m_list = _check_m_list(m_list)

@@ -11,9 +11,9 @@ Panels are open: no node ever lands on an interval endpoint, so integrable
 endpoint behavior (like the 1/rho coordinate singularity at the axis) needs
 no special casing.
 
-`gk15_panels` lays the same rule on a fixed grid of equal panels, for callers
-that tabulate part of their integrand once and reuse it across many
-integrals.
+`fejer2` gives Fejer's second rule over (0, 1), with its nested error
+weights, for callers that tabulate part of an integrand once and reuse it
+across many integrals.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .special import NumericError
 
-__all__ = ["QuadResult", "BudgetExceededError", "integrate", "gk15_panels"]
+__all__ = ["QuadResult", "BudgetExceededError", "integrate", "fejer2"]
 
 # accuracy target of `integrate`, max(ABS_TOL, REL_TOL * max|component|), and
 # the most panels it may evaluate; all three are read at call time
@@ -112,20 +112,33 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     return kron_out, err_out
 
 
-def gk15_panels(a: float, b: float, panels: int):
-    """Composite GK15 rule on `panels` equal panels of [a, b].
+def _fejer2_weights(n: int) -> np.ndarray:
+    """Weights on the n - 1 interior nodes, n = 2^k, by one FFT (Waldvogel,
+    BIT 46, 2006)."""
+    odd = np.arange(1, n, 2)
+    v = np.zeros(n + 1)
+    v[:odd.size] = 2.0 / (odd * (odd - 2.0))
+    v[odd.size] = 1.0 / odd[-1]
+    return 0.5 * np.fft.ifft(-v[:-1] - v[:0:-1]).real[1:]
 
-    Returns (nodes, kronrod_weights, error_weights), each of shape
-    (panels, 15).  Summing kronrod_weights * f over a row gives that panel's
-    K15 value; summing error_weights * f gives its K15 - G7 difference, the
-    local error estimate `integrate` refines on.
+
+def fejer2(nodes: int):
+    """Fejer's second rule on `nodes` = 2^k - 1 >= 3 nodes over (0, 1).
+
+    Returns (s, w, w_err), each of shape (nodes,).  The nodes s_j =
+    sin^2(pi j / (2 (nodes + 1))) are open, none at 0 or 1, and the rule on
+    (nodes - 1)/2 nodes sits bit for bit on every other one; w_err is w less
+    that half-rule's weights, so sum(w_err * f) is the difference of the two
+    rules.  The weights are positive and exact below degree `nodes`.
     """
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    edges = np.linspace(float(a), float(b), panels + 1)
-    c = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    h = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return c + h * _NODES, h * _W_KRON, h * (_W_KRON - _W_GAUSS)
+    n = nodes + 1
+    if nodes < 3 or n & nodes:
+        raise ValueError(f"nodes must be 2^k - 1 >= 3, got {nodes}")
+    s = np.sin(0.5 * np.pi * (np.arange(1, n) / n)) ** 2
+    w = _fejer2_weights(n)
+    w_err = w.copy()
+    w_err[1::2] -= _fejer2_weights(n // 2)
+    return s, w, w_err
 
 
 def integrate(f, a: float, b: float, initial_panels: int = 8) -> QuadResult:

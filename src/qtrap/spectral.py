@@ -25,23 +25,22 @@ b_n'(t) onto the moving instantaneous basis is the overlap matrix
 applied to one vector.
 
 Three kinds of radial integral of Bessel blocks go through one product,
-`_gram`: int w(s) h^T right(s, h) ds on a `_Rule`, a fixed composite GK15
-rule over [0, 1] with the blocks h tabulated on its nodes, for a right factor
-formed at the nodes.  It carries its own per-panel K15 - G7 error estimate
-and falls back to adaptive quadrature when the estimate misses its target or
-the weight's phase outruns the rule.  Its panels, tabulated or adaptive, see
-at most half a period of total phase each (`_RULE_RADIANS`).  The overlap
-rule holds J_m(x_mn s_j) once per (m, N_max); only the phase depends on
-(t, alpha).  Overlaps (`_i_matrix`) take the wave h u of the one vector u a
-caller needs, so no caller forms a whole overlap matrix (I is symmetric: a
-row is I e_n); the moment tables take the block h itself and keep the
-product unsymmetrized; projections of a wave onto the modes (`_mode_coeffs`,
-the kernel) take the wave's own samples, on the overlap rule under the
-overlaps' weight.  The real-space routes never read the rule:
+`_gram`: int w(s) h^T right(s, h) ds on a `_Rule`, Fejer's second rule over
+(0, 1) with the blocks h tabulated on its nodes, for a right factor formed at
+the nodes.  Each integrand is entire in s, so the rule converges
+geometrically; each product takes the smallest of the nested levels whose
+half-rule resolves the total phase (`_rule_nodes`), judges itself by the
+difference to that half-rule, and falls back to adaptive quadrature when
+that estimate misses or the phase outruns the largest level.  The overlap
+rule holds J_m(x_mn s_j) once per (m, N_max, level).  Overlaps (`_i_matrix`)
+take the wave h u of the one vector u a caller needs, so no caller forms a
+whole overlap matrix (I is symmetric: a row is I e_n); the moment tables
+take the block h itself; projections of a wave onto the modes
+(`_mode_coeffs`, the kernel) take the wave's own samples, on the overlap
+rule under the overlaps' weight.  The real-space routes never read the rule:
 `b_coeffs_direct`, held against `b_coeffs` by the two-path check, and
-`coeffs_from_initial`, held against `coeffs_from_eigenstate`, integrate
-adaptively on their own panel layouts, which start at one period per panel
-(`_PANEL_RADIANS`).
+`coeffs_from_initial`, held against `coeffs_from_eigenstate`, integrate by
+adaptive Gauss-Kronrod from one period per panel (`_PANEL_RADIANS`).
 
 Operator matrix elements in that moving basis are elementary in the zeros
 alone (`_zero_blocks`, the Lommel integrals).  The six Bessel moment
@@ -49,8 +48,7 @@ integrals of `moment_tables`, products on a rule of their own with the J and
 x J' blocks, are the quadrature reference these and the oracle's closed
 forms, exact hypergeometric sums that share neither route's numerics, are
 held against; no operator reads them.  Zero tables, overlap rules and
-moment tables are each built once per (m, size) by a `functools.cache`
-builder.
+moment tables are each built once per key by a `functools.cache` builder.
 """
 
 from __future__ import annotations
@@ -59,11 +57,12 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import quad
-from .quad import ABS_TOL, REL_TOL, gk15_panels, integrate
+from .quad import ABS_TOL, REL_TOL, integrate
 from .special import DomainError, NumericError, bessel_j, bessel_zeros
 
 __all__ = [
@@ -211,14 +210,28 @@ _RADIANS_PER_BUDGET_PANEL = 5.0
 # to m = 50 added, so no panel is refined.
 _PANEL_RADIANS = 2.0 * math.pi
 
-# Total phase each panel of a `_gram` sees, on a rule or in its fallback: half
-# a period.  The wall's chirp turns at twice its mean rate there: on a
-# one-period overlap rule (121 panels at m = 0, n_max = 60) the estimate
-# missed from 0.95-1 period per panel at the wall, a wall phase of 175 rad,
-# and a miss costs the whole product where an adaptive start splits a panel.
-# The fallback starts from the same layout: from one period, energy_ratio_paths
-# at a wall phase of 9.6e3 rad refined to 6483 panels against 4638.
-_RULE_RADIANS = math.pi
+# A rule's half-rule of h nodes resolves 1.4 rad of total phase per node past
+# its first 32.  Against a 3000-node rule, over m in {0, 1, 2, 5, 20}, n_max in
+# {2, 4, 8, 20, 60}, wall phases 0-900 rad and the A^{-1} table, the fewest
+# nodes meeting a tenth of `integrate`'s target were at most 31.3 past 1.4 rad
+# per node.  The largest rule, 2047 nodes, resolves 1387 rad.
+_RADIANS_PER_NODE = 1.4
+_SPARE_NODES = 32
+_RULE_NODES_MAX = 2047
+
+# Total phase per panel of a `_gram` fallback's start: half a period.  Past the
+# largest rule one period of 2 |alpha| xi + 2 x_max is too coarse:
+# energy_ratio_paths (m = 0, n = 1) at wall phases of 1100 and 1500 rad refined
+# from 411 and 539 panels to 681 and 925; from 471 and 598 here, none.
+_FALLBACK_RADIANS = math.pi
+
+
+def _rule_nodes(radians: float) -> int | None:
+    """Nodes N = 2^k - 1 of the smallest rule whose half-rule of (N - 1)/2
+    nodes resolves the total phase `radians`; None past `_RULE_NODES_MAX`."""
+    half = math.ceil(radians / _RADIANS_PER_NODE) + _SPARE_NODES
+    nodes = 2 ** (half.bit_length() + 1) - 1
+    return nodes if nodes <= _RULE_NODES_MAX else None
 
 
 def _osc_panels(radians: float, per_panel: float = _PANEL_RADIANS) -> int:
@@ -265,48 +278,44 @@ def overlap_I(m: int, n_row: int, n_col: int, t: float, alpha: float,
     return complex(res.value)
 
 
-@dataclass(frozen=True)
-class _Rule:
-    """Bessel blocks tabulated on the nodes of a fixed composite GK15 rule
-    over [0, 1].
+class _Rule(NamedTuple):
+    """Bessel blocks `tab` at the nodes `s` of `quad.fejer2`, one row per
+    node and one column per zero, with its weights `w` and `w_err`."""
 
-    `blocks(s)` evaluates the blocks at nodes s, each with one row per node
-    and one column per zero; `tab` holds them on the rule's own nodes,
-    panel-major.  `phase` is the total phase 2 x_max that a product of two
-    blocks carries.
-    """
-
-    s: np.ndarray          # (panels, 15) nodes
-    w_kron: np.ndarray     # (panels, 15) K15 weights
-    w_err: np.ndarray      # (panels, 15) K15 - G7 weights
-    blocks: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    s: np.ndarray
+    w: np.ndarray
+    w_err: np.ndarray
     tab: tuple[np.ndarray, ...]
+
+
+class _Blocks(NamedTuple):
+    """Bessel blocks for `_gram`: `at(s)` evaluates them at nodes s (as
+    `_Rule.tab`), `phase` is the total phase 2 x_max of a product of two and
+    `rule(nodes)` tabulates them on `nodes` nodes."""
+
+    at: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     phase: float
+    rule: Callable[[int], _Rule]
 
 
-def _rule(blocks, phase: float, panels: int) -> _Rule:
-    s, w_kron, w_err = gk15_panels(0.0, 1.0, panels)
-    return _Rule(s, w_kron, w_err, blocks, blocks(s.ravel()), phase)
+def _tabulate(at, nodes: int) -> _Rule:
+    s, w, w_err = quad.fejer2(nodes)
+    return _Rule(s, w, w_err, at(s))
 
 
-# Per-panel error blocks are formed this many elements at a time; only the
-# moment tables' full self-products, n x n per panel, make them large enough
-# to be split.
-_ERR_CHUNK_ELEMS = 250_000
+def _overlap_blocks(m: int, n_max: int) -> _Blocks:
+    """The one block J_m(x_mn s) for zeros 1..n_max."""
+    zeros, _ = _zeros_cached(m, n_max)
+    return _Blocks(lambda s: (bessel_j(m, s[:, None] * zeros[None, :]),),
+                   2.0 * float(zeros[-1]), lambda nodes: _bessel_grid(m, n_max, nodes))
 
 
 @cache
-def _bessel_grid(m: int, n_max: int) -> _Rule:
-    """The overlap rule, with the one block J_m(x_mn s) for zeros 1..n_max.
-
-    The panel count resolves a wall phase as large as the Bessel phase
-    2 x_max itself: 376 rad at m = 0, n_max = 60, several times the largest
-    wall phase in the acceptance battery.
-    """
-    zeros, _ = _zeros_cached(m, n_max)
-    phase = 2.0 * float(zeros[-1])
-    return _rule(lambda s: (bessel_j(m, s[:, None] * zeros[None, :]),),
-                 phase, _osc_panels(2.0 * phase, _RULE_RADIANS))
+def _bessel_grid(m: int, n_max: int, nodes: int) -> _Rule:
+    """The overlap rule: J_m(x_mn s) for zeros 1..n_max on `nodes` nodes.
+    At m = 0, n_max = 60, 1023 nodes serve wall phases up to 295 rad and
+    2047 up to 1012 rad."""
+    return _tabulate(_overlap_blocks(m, n_max).at, nodes)
 
 
 def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -318,47 +327,38 @@ def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             + 1j * np.matmul(a, np.ascontiguousarray(b.imag)))
 
 
-def _gram(rule: _Rule, weight, right, left: int = 0, phase: float = 0.0) -> np.ndarray:
-    """int_0^1 weight(s) h_left(s)^T right(s, h) ds, h the tuple of the rule's
+def _gram(blocks: _Blocks, weight, right, left: int = 0, phase: float = 0.0) -> np.ndarray:
+    """int_0^1 weight(s) h_left(s)^T right(s, h) ds, h the tuple of the
     blocks at the nodes s.
 
     `right(s, h)` forms the right factor at nodes s, one row per node and k
     columns, and the result is (columns of h_left, k); the weight is put on
     the narrow side, h_left^T (w right).  `phase` is the weight's own total
-    phase.  The product is taken on the rule, `right` called once on all its
-    nodes and tabulated blocks, when its panels see at most `_RULE_RADIANS`
-    each of that phase and the blocks' together, and the per-panel K15 - G7
-    blocks of the result (formed `_ERR_CHUNK_ELEMS` elements at a time, their
-    worst components summed as `integrate` does) meet `integrate`'s default
-    target.
-    Otherwise it is adaptive `integrate` from `_RULE_RADIANS` per panel of
-    the total phase, with the integrand of the same width as the result.
+    phase.  The product is taken on the smallest rule whose half-rule
+    resolves that phase and the blocks' together, `right` called once on its
+    nodes and tabulated blocks, when the largest component of the difference
+    to the half-rule meets `integrate`'s default target.  Otherwise, or past
+    the largest rule, it is adaptive `integrate` from `_FALLBACK_RADIANS` per
+    panel, with the integrand of the same width as the result.
     """
     mat = None
-    panels, nodes = rule.w_kron.shape
-    if phase <= _RULE_RADIANS * panels - rule.phase:
-        w = weight(rule.s)
-        lb = rule.tab[left]
-        rb = right(rule.s.ravel(), rule.tab)
-        mat = _real_matmul(lb.T, (w * rule.w_kron).reshape(-1, 1) * rb)
-        diff = (w * rule.w_err)[..., None]
-        lp = lb.reshape(panels, nodes, -1).swapaxes(1, 2)
-        rp = rb.reshape(panels, nodes, -1)
-        step = max(1, _ERR_CHUNK_ELEMS // mat.size)
-        err = 0.0
-        for lo in range(0, panels, step):
-            e = np.abs(_real_matmul(lp[lo:lo + step], diff[lo:lo + step] * rp[lo:lo + step]))
-            err += float(e.reshape(e.shape[0], -1).max(axis=1).sum())
+    nodes = _rule_nodes(phase + blocks.phase)
+    if nodes is not None:
+        rule = blocks.rule(nodes)
+        lb = rule.tab[left].T
+        rb = weight(rule.s)[:, None] * right(rule.s, rule.tab)
+        mat = _real_matmul(lb, rule.w[:, None] * rb)
+        err = float(np.max(np.abs(_real_matmul(lb, rule.w_err[:, None] * rb))))
         # a NaN estimate fails too, and the fallback's `integrate` raises on it
         if not err <= max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat)))):
             mat = None
     if mat is None:
         def f(s):
-            h = rule.blocks(s)
+            h = blocks.at(s)
             return weight(s)[:, None, None] * h[left][:, :, None] * right(s, h)[:, None, :]
 
         res = integrate(f, 0.0, 1.0,
-                        initial_panels=_osc_panels(phase + rule.phase, _RULE_RADIANS))
+                        initial_panels=_osc_panels(phase + blocks.phase, _FALLBACK_RADIANS))
         mat = np.asarray(res.value)
     return mat
 
@@ -370,7 +370,7 @@ def _i_matrix(m: int, xi_t: float, alpha: float, n_max: int,
     |alpha| xi_t with the wave h u as its right factor.  I is symmetric, so
     I e_n is its row n."""
     cols = np.reshape(u, (np.shape(u)[0], -1))
-    mat = _gram(_bessel_grid(m, n_max),
+    mat = _gram(_overlap_blocks(m, n_max),
                 lambda s: s * np.exp(-1j * alpha * xi_t * s ** 2),
                 lambda s, h: _real_matmul(h[0], cols), phase=abs(alpha) * xi_t)
     return mat.reshape((n_max,) + np.shape(u)[1:])
@@ -481,8 +481,8 @@ def b_coeffs(state: SpectralState, t: float, geom: TrapGeometry) -> np.ndarray:
     evolution sum |b|^2 equals sum |c|^2 up to truncation.  The sum over n''
     is conj(I) v = conj(I conj(v)) for the vector v_n'' of the terms after
     conj(I): one product of I with conj(v) on the tabulated overlap rule under
-    its K15 - G7 error estimate, or by adaptive quadrature where the rule
-    does not suffice (see `_gram`).  The matrix itself is never formed.
+    its nested error estimate, or by adaptive quadrature where the rule does
+    not suffice (see `_gram`).  The matrix itself is never formed.
     """
     _check_state_geom(state, geom)
     zeros, absj = _zeros_cached(state.m, state.n_max)
@@ -537,13 +537,6 @@ def _radial_wave(state: SpectralState, sigma: np.ndarray, t,
     return modes(state.m, sigma, t, geom, state.n_max) @ state.coeffs
 
 
-# The wave of a projection is sampled this many radii (64 panels of the rule)
-# at a time.  A 60-mode source forms a (radii x 60) mode block and a (radii x
-# angles) wave per call: on all 3615 nodes of the m = 0 overlap rule at once
-# they took a kernel read's traced peak from 4 to 12 MB.
-_WAVE_CHUNK_NODES = 960
-
-
 def _mode_coeffs(radial, m: int, t: float, geom: TrapGeometry, n_max: int) -> np.ndarray:
     """Coefficients of the radial wave `radial(rho)` at time t over the
     dressed modes at t,
@@ -552,20 +545,15 @@ def _mode_coeffs(radial, m: int, t: float, geom: TrapGeometry, n_max: int) -> np
 
     They are constants of the motion, so `modes` at a later time evolves the
     wave.  The integral is a `_gram` of the overlap rule under the weight of
-    `_i_matrix` at xi(t), whose right factor is the wave sampled
-    `_WAVE_CHUNK_NODES` radii at a time, times the amplitude
+    `_i_matrix` at xi(t), whose right factor is the wave sampled in one call
+    on all the rule's radii, times the amplitude
     exp(i x_n^2 tau) sqrt(2) L / |J_{m+1}(x_n)|.
     """
     L, xi_t, alpha = geom.L(t), geom.xi(t), geom.alpha
     zeros, absj = _zeros_cached(m, n_max)
-
-    def wave(s, h):
-        rho = L * s
-        return np.concatenate([np.asarray(radial(rho[lo:lo + _WAVE_CHUNK_NODES]), dtype=complex)
-                               for lo in range(0, rho.size, _WAVE_CHUNK_NODES)])[:, None]
-
-    proj = _gram(_bessel_grid(m, n_max), lambda s: s * np.exp(-1j * alpha * xi_t * s ** 2),
-                 wave, phase=abs(alpha) * xi_t)
+    proj = _gram(_overlap_blocks(m, n_max), lambda s: s * np.exp(-1j * alpha * xi_t * s ** 2),
+                 lambda s, h: np.asarray(radial(L * s), dtype=complex)[:, None],
+                 phase=abs(alpha) * xi_t)
     return np.exp(1j * zeros ** 2 * geom.tau(t)) * (math.sqrt(2.0) * L / absj) * proj[:, 0]
 
 
@@ -637,11 +625,9 @@ def moment_tables(m: int, n_max: int = N_MAX_DEFAULT) -> MomentTable:
     """Moment tables for angular index m with radial indices 1..n_max.
 
     Each quadrature is one `_gram` of the blocks g and g' under the weight
-    s^k, on a rule of the tables' own (not the overlap rule `_bessel_grid`)
-    laid out at `_RULE_RADIANS` per panel of the blocks' phase 2 x_max (121
-    panels at m = 0, n_max = 60): on one-period panels the full n x n
-    self-products miss their target.  g' is formed from J_{m+1} and the g
-    block itself.
+    s^k, on a rule of the overlaps' family tabulated by the tables (not
+    `_bessel_grid`): 1023 nodes at m = 0, n_max = 60.  The rule is open, so
+    g' = (m / s) J_m - x J_{m+1} and A^{-1}'s 1/s never meet s = 0.
     """
     return _moment_tables(m, n_max)
 
@@ -657,11 +643,10 @@ def _moment_tables(m: int, n_max: int) -> MomentTable:
         j = bessel_j(m, sx)
         return j, (m / s)[:, None] * j - zeros[None, :] * bessel_j(m + 1, sx)
 
-    phase = 2.0 * float(zeros[-1])
-    rule = _rule(blocks, phase, _osc_panels(phase, _RULE_RADIANS))
+    tables = _Blocks(blocks, 2.0 * float(zeros[-1]), cache(lambda nodes: _tabulate(blocks, nodes)))
 
     def product(k, left, right):  # blocks 0 = g, 1 = g'
-        return _gram(rule, lambda s: s ** k, lambda s, h: h[right], left)
+        return _gram(tables, lambda s: s ** k, lambda s, h: h[right], left)
 
     A3 = product(3, 0, 0)
     A1 = product(1, 0, 0)

@@ -441,7 +441,7 @@ def test_verify_checks_build_each_basis_key_once(cold_memo, monkeypatch):
     for (module, name), (builder, keys) in asked.items():
         assert builder.cache_info().misses == len(set(keys)), (module.__name__, name)
     assert set(asked[spectral, "_zero_table"][1]) == {(m, 60) for m in (0, 1, 2, 3, 5)}
-    assert set(asked[spectral, "_bessel_grid"][1]) == {(0, 4), (0, 60)}
+    assert set(asked[spectral, "_bessel_grid"][1]) == {(0, 4, 255), (0, 60, 1023)}
     assert set(asked[spectral, "_moment_tables"][1]) == {(0, 4), (1, 4), (2, 4), (3, 4),
                                                          (0, 20), (3, 20)}
 

@@ -359,13 +359,12 @@ def test_kernel_read_bessel_points(monkeypatch):
 
 
 def test_kernel_falls_back_past_rule_headroom(monkeypatch):
-    # a wall phase |alpha| xi(t') past the rule's headroom, pi panels - 2 x_max,
-    # takes the projection by adaptive quadrature: one call, same kernel
-    rule = spectral._bessel_grid(0, 20)
-    headroom = math.pi * rule.s.shape[0] - rule.phase
-    geom = TrapGeometry.from_alpha(100.0)
+    # a wall phase |alpha| xi(t') past what the largest rule resolves with
+    # 2 x_max takes the projection by adaptive quadrature: one call, same kernel
+    geom = TrapGeometry.from_alpha(500.0)
     t0, t1, t2 = 0.0, 0.002, 0.004
-    assert abs(geom.alpha) * geom.xi(t1) > headroom
+    x_max = spectral._zeros_cached(0, 20)[0][-1]
+    assert spectral._rule_nodes(abs(geom.alpha) * geom.xi(t1) + 2.0 * x_max) is None
     rho0, phi0 = 0.3, 0.4
     k0 = np.conj(spectral.modes(0, [rho0], t0, geom, 20)[0])
 
@@ -382,9 +381,8 @@ def test_kernel_falls_back_past_rule_headroom(monkeypatch):
 
 
 def test_kernel_memory():
-    # verify's kernel check: a 60-mode source at m = 0.  On all 3615 rule
-    # nodes x 64 angles at once its samples took the traced peak to 12.3 MB
-    # (4.0 MB under adaptive quadrature); formed 960 radii at a time, 5.1 MB
+    # verify's kernel check: a 60-mode source at m = 0, sampled in one call
+    # per read on all 1023 nodes of the rule x 64 angles (3.8 MB traced peak)
     geom = TrapGeometry.from_alpha(1.2)
     state = coeffs_from_eigenstate(0, 1, geom)
     radii = []
@@ -404,7 +402,7 @@ def test_kernel_memory():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
-    assert 0 < max(radii) <= 960
+    assert radii == [1023, 1023]
 
 
 # --------------------------------------------------------------------------

@@ -78,19 +78,29 @@ def test_empty_interval():
     assert res.value == 0.0 and res.panels_used == 0
 
 
-def test_fixed_panels_reproduce_integrate(monkeypatch):
-    # on integrate's own first layout, with a target loose enough that no
-    # panel is refined, the fixed rule gives the same value and the same
-    # summed error estimate (here ~1e-9, far above rounding)
-    nodes, w_kron, w_err = quad.gk15_panels(0.0, 35.0, 8)
-    assert nodes.shape == w_kron.shape == w_err.shape == (8, 15)
-    monkeypatch.setattr(quad, "ABS_TOL", 1e-6)
-    monkeypatch.setattr(quad, "REL_TOL", 1e-6)
-    res = integrate(np.cos, 0.0, 35.0, initial_panels=8)
-    assert res.panels_used == 8
-    assert_allclose(np.sum(w_kron * np.cos(nodes)), res.value, atol=1e-14)
-    assert_allclose(np.sum(np.abs(np.sum(w_err * np.cos(nodes), axis=1))),
-                    res.err_estimate, rtol=1e-6)
+@pytest.mark.parametrize("nodes", [3, 127, 1023, 2047])
+def test_fejer2_open_nested_positive_exact(nodes):
+    # open: no node at 0 or 1, where the moment tables' (m / s) J_m and the
+    # A^{-1} weight 1/s are NaN; nested: the half level's nodes are every
+    # other node, bit for bit; positive weights, exact below degree `nodes`
+    s, w, w_err = quad.fejer2(nodes)
+    assert s.shape == w.shape == w_err.shape == (nodes,)
+    assert 0.0 < s.min() and s.max() < 1.0
+    assert np.all(np.diff(s) > 0.0)
+    assert np.all(w > 0.0)
+    if nodes > 3:
+        half_s, half_w, _ = quad.fejer2(nodes // 2)
+        assert np.array_equal(s[1::2], half_s)
+        assert np.array_equal(w_err[::2], w[::2])
+        assert np.array_equal(w_err[1::2], w[1::2] - half_w)
+    for k in range(nodes):
+        assert abs(np.dot(w, s ** k) - 1.0 / (k + 1)) <= 1e-15, k
+
+
+@pytest.mark.parametrize("nodes", [0, 1, 2, 6, 8, 1000])
+def test_fejer2_rejects_other_sizes(nodes):
+    with pytest.raises(ValueError, match="2\\^k - 1 >= 3"):
+        quad.fejer2(nodes)
 
 
 def test_budget_error_carries_best_result(monkeypatch):
@@ -137,9 +147,8 @@ def test_bad_integrand_shape_rejected():
         integrate(np.sin, 0.0, np.inf)
 
 
-@pytest.mark.parametrize("call", [lambda: integrate(np.sin, 0.0, 1.0, initial_panels=0),
-                                  lambda: quad.gk15_panels(0.0, 1.0, 0)],
-                         ids=["integrate", "gk15_panels"])
+@pytest.mark.parametrize("call", [lambda: integrate(np.sin, 0.0, 1.0, initial_panels=0)],
+                         ids=["integrate"])
 def test_panel_count_below_one_rejected(call):
     with pytest.raises(ValueError, match="must be >= 1"):
         call()

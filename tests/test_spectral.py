@@ -176,15 +176,30 @@ def test_tabulated_overlap_matches_adaptive(monkeypatch):
 
 
 def test_overlap_beyond_grid_falls_back_to_adaptive(monkeypatch):
-    geom = TrapGeometry.from_alpha(250.0)
-    t = 0.6 / geom.u  # xi = 1.6, wall phase 400
+    geom = TrapGeometry.from_alpha(700.0)
+    t = 0.6 / geom.u  # xi = 1.6, wall phase 1120
     x_max = _zeros(0, 60)[0][-1]
-    panels = spectral._bessel_grid(0, 60).s.shape[0]
-    assert abs(geom.alpha) * geom.xi(t) + 2.0 * x_max > math.pi * panels
+    # past what the largest rule resolves
+    assert spectral._rule_nodes(abs(geom.alpha) * geom.xi(t) + 2.0 * x_max) is None
     calls = _spy_integrate(monkeypatch)
     mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 60, np.eye(60))
     assert len(calls) == 1
     for i, j in _PROBES:
+        assert abs(mat[i, j] - overlap_I(0, i + 1, j + 1, t, geom.alpha, geom)) < 1e-11
+
+
+def test_overlap_falls_back_on_a_rule_one_level_short(monkeypatch):
+    # a wall phase of 300 rad on eight zeros takes the 1023-node rule; on the
+    # 511-node one the nested estimate misses and the product falls back once
+    geom = TrapGeometry.from_alpha(187.5)
+    t = 0.6 / geom.u  # xi = 1.6, wall phase 300
+    rule_nodes = spectral._rule_nodes
+    assert rule_nodes(300.0 + 2.0 * _zeros(0, 8)[0][-1]) == 1023
+    monkeypatch.setattr(spectral, "_rule_nodes", lambda radians: rule_nodes(radians) // 2)
+    calls = _spy_integrate(monkeypatch)
+    mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 8, np.eye(8))
+    assert len(calls) == 1
+    for i, j in ((0, 0), (0, 7), (3, 5), (7, 7)):
         assert abs(mat[i, j] - overlap_I(0, i + 1, j + 1, t, geom.alpha, geom)) < 1e-11
 
 
@@ -228,10 +243,9 @@ def test_overlap_products_on_the_rule(monkeypatch, m):
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_overlap_products_beyond_grid_fall_back(monkeypatch, m):
-    # wall phase 80 against the rule's headroom pi * panels - 2 x_max < 60
-    n_max, alpha, xi_t = 8, 50.0, 1.6
-    rule = spectral._bessel_grid(m, n_max)
-    assert alpha * xi_t > math.pi * rule.s.shape[0] - rule.phase
+    # wall phase 1440, past what the largest rule resolves with 2 x_max < 60
+    n_max, alpha, xi_t = 8, 900.0, 1.6
+    assert spectral._rule_nodes(alpha * xi_t + 2.0 * _zeros(m, n_max)[0][-1]) is None
     _check_overlap_products(monkeypatch, m, xi_t, alpha, n_max, adaptive_calls=1)
 
 
@@ -262,10 +276,8 @@ def test_callers_apply_overlaps_to_vectors(monkeypatch):
 
 def test_overlap_products_memory():
     # each call once to warm the rule and zero table, then once traced: the
-    # rule's block is 3615 x 60 floats (1.7 MB), and no call may copy it or
-    # build the 60 x 60 matrix's per-panel error blocks (about 0.95 MB
-    # measured; 10.2 MB with the full matrix)
-    block = spectral._bessel_grid(0, 60).tab[0].nbytes
+    # rule's block is 1023 x 60 floats (0.49 MB), and no call may copy it
+    block = spectral._bessel_grid(0, 60, 1023).tab[0].nbytes
     geom = TrapGeometry.from_alpha(1.0)
     state = coeffs_from_eigenstate(0, 1, geom)
     calls = (lambda: b_coeffs(state, 0.5, geom),
