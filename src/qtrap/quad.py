@@ -113,8 +113,7 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
 
 
 def _fejer2_weights(n: int) -> np.ndarray:
-    """Weights on the n - 1 interior nodes, n = 2^k, by one FFT (Waldvogel,
-    BIT 46, 2006)."""
+    """Weights on the n - 1 interior nodes by one FFT (Waldvogel 2006)."""
     odd = np.arange(1, n, 2)
     v = np.zeros(n + 1)
     v[:odd.size] = 2.0 / (odd * (odd - 2.0))

@@ -228,7 +228,9 @@ _FALLBACK_RADIANS = math.pi
 
 def _rule_nodes(radians: float) -> int | None:
     """Nodes N = 2^k - 1 of the smallest rule whose half-rule of (N - 1)/2
-    nodes resolves the total phase `radians`; None past `_RULE_NODES_MAX`."""
+    nodes resolves the total phase `radians`; None past the largest, or NaN."""
+    if not radians < math.inf:
+        return None
     half = math.ceil(radians / _RADIANS_PER_NODE) + _SPARE_NODES
     nodes = 2 ** (half.bit_length() + 1) - 1
     return nodes if nodes <= _RULE_NODES_MAX else None
@@ -357,9 +359,8 @@ def _gram(blocks: _Blocks, weight, right, left: int = 0, phase: float = 0.0) -> 
             h = blocks.at(s)
             return weight(s)[:, None, None] * h[left][:, :, None] * right(s, h)[:, None, :]
 
-        res = integrate(f, 0.0, 1.0,
-                        initial_panels=_osc_panels(phase + blocks.phase, _FALLBACK_RADIANS))
-        mat = np.asarray(res.value)
+        panels = _osc_panels(phase + blocks.phase, _FALLBACK_RADIANS)
+        mat = np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
     return mat
 
 

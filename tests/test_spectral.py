@@ -203,6 +203,15 @@ def test_overlap_falls_back_on_a_rule_one_level_short(monkeypatch):
         assert abs(mat[i, j] - overlap_I(0, i + 1, j + 1, t, geom.alpha, geom)) < 1e-11
 
 
+def test_overlap_infinite_wall_phase_is_a_numeric_error():
+    # |alpha| xi overflows to inf: no rule resolves it, and the fallback
+    # refuses it with a typed error at once
+    geom = TrapGeometry.from_alpha(1e307)
+    t = 99.0 / geom.u  # xi = 100
+    with pytest.raises(NumericError, match="total phase inf rad"):
+        energy_ratio_paths(0, 1, t, geom, n_max=8)
+
+
 def test_overlap_falls_back_when_grid_estimate_misses(monkeypatch):
     # a zero target cannot be met by any error estimate
     geom = TrapGeometry.from_alpha(1.1)
