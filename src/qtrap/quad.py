@@ -1,7 +1,8 @@
-"""Adaptive Gauss-Kronrod quadrature for smooth, possibly oscillatory,
-possibly vector-valued integrands on a finite interval.
+"""Quadrature on a finite interval: adaptive Gauss-Kronrod for smooth,
+possibly oscillatory, possibly vector-valued integrands, and two fixed rule
+families over (0, 1) for callers that size and judge their own sums.
 
-The integrand is called with a single 1-D array holding every abscissa of the
+`integrate`'s integrand is called with a single 1-D array holding every abscissa of the
 current refinement wave, so array-natured integrands (Bessel rows, phase
 factors) are evaluated in one shot.  Refinement bisects every panel whose
 local error estimate exceeds its share of the target, which converges in few
@@ -13,18 +14,21 @@ no special casing.
 
 `fejer2` gives Fejer's second rule over (0, 1), with its nested error
 weights, for callers that tabulate part of an integrand once and reuse it
-across many integrals.
+across many integrals.  `gauss_legendre` gives Gauss-Legendre rules over
+(0, 1) on a ladder of orders, for a caller that judges one order by the next
+and splits the interval itself past the largest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .special import NumericError
 
-__all__ = ["QuadResult", "BudgetExceededError", "integrate", "fejer2"]
+__all__ = ["QuadResult", "BudgetExceededError", "integrate", "fejer2", "gauss_legendre"]
 
 # accuracy target of `integrate`, max(ABS_TOL, REL_TOL * max|component|), and
 # the most panels it may evaluate; all three are read at call time
@@ -138,6 +142,54 @@ def fejer2(nodes: int):
     w_err = w.copy()
     w_err[1::2] -= _fejer2_weights(n // 2)
     return s, w, w_err
+
+
+# the orders `gauss_legendre` builds: multiples of _GAUSS_STEP up to
+# _GAUSS_NODES_MAX.  A build costs three passes of the recurrence, so it grows
+# as nodes^2: the first in a fresh process took 2.8 ms at 224 nodes, 7.0 ms at
+# 512 and 17 ms at 1024 (2 cores), while a caller past the cap loses nothing
+# per node by splitting the interval into panels at the cap
+_GAUSS_STEP = 32
+_GAUSS_NODES_MAX = 512
+
+
+@cache
+def gauss_legendre(nodes: int):
+    """Gauss-Legendre rule on `nodes` nodes over (0, 1), for `nodes` a
+    multiple of 32 up to 512.
+
+    Returns (s, w), read-only and each of shape (nodes,).  The nodes ascend
+    and are open, s_j + s_{nodes-1-j} = 1 to rounding, w is symmetric and
+    positive, and the rule is exact below degree 2 nodes.  The roots x of
+    P_nodes in (0, 1) start from Tricomi's asymptotic form and take Newton
+    steps on the three-term recurrence until a step is below 1e-15 (three on
+    every order); w = (1 - x^2) / d^2 with d = (1 - x^2) P'_nodes(x), from the
+    same recurrence.
+    """
+    if not (0 < nodes <= _GAUSS_NODES_MAX and nodes % _GAUSS_STEP == 0):
+        raise ValueError(f"nodes must be a multiple of {_GAUSS_STEP} up to {_GAUSS_NODES_MAX}, "
+                         f"got {nodes}")
+    theta = np.pi * (4.0 * np.arange(1, nodes // 2 + 1) - 1.0) / (4.0 * nodes + 2.0)
+    x = np.cos(theta) * (1.0 - (nodes - 1) / (8.0 * nodes ** 3)
+                         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * nodes ** 4))
+    # P_j = a_j x P_{j-1} - b_j P_{j-2}
+    ab = [((2 * j - 1) / j, (j - 1) / j) for j in range(2, nodes + 1)]
+    for _ in range(8):
+        p_prev, p = np.ones_like(x), x
+        for a, b in ab:
+            p_prev, p = p, a * (x * p) - b * p_prev
+        d = nodes * (p_prev - x * p)
+        step = p * (1.0 - x) * (1.0 + x) / d
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    half = 0.5 * (1.0 - x)
+    s = np.concatenate([half, 1.0 - half[::-1]])
+    w = (1.0 - x) * (1.0 + x) / d ** 2
+    w = np.concatenate([w, w[::-1]])
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w
 
 
 def integrate(f, a: float, b: float, initial_panels: int = 8) -> QuadResult:

@@ -37,10 +37,14 @@ take the wave h u of the one vector u a caller needs, so no caller forms a
 whole overlap matrix (I is symmetric: a row is I e_n); the moment tables
 take the block h itself; projections of a wave onto the modes
 (`_mode_coeffs`, the kernel) take the wave's own samples, on the overlap
-rule under the overlaps' weight.  The real-space routes never read the rule:
-`b_coeffs_direct`, held against `b_coeffs` by the two-path check, and
-`coeffs_from_initial`, held against `coeffs_from_eigenstate`, integrate by
-adaptive Gauss-Kronrod from one period per panel (`_PANEL_RADIANS`).
+rule under the overlaps' weight.  The real-space routes never read the rule.
+`b_coeffs_direct`, held against `b_coeffs` by the two-path check, sums on
+Gauss-Legendre nodes, a family the rule does not use, at two orders sized
+from its total phase and judged by their difference (`_direct_quad`).
+`coeffs_from_initial`, held against `coeffs_from_eigenstate` (its initial
+state need not be entire), and the single overlap `overlap_I`, the adaptive
+reference the rule's tests use, integrate by adaptive Gauss-Kronrod from one
+period per panel (`_PANEL_RADIANS`).
 
 Operator matrix elements in that moving basis are elementary in the zeros
 alone (`_zero_blocks`, the Lommel integrals).  The six Bessel moment
@@ -204,11 +208,25 @@ def _zero(m: int, n: int) -> float:
 # so these figures do not depend on the radians per panel.
 _RADIANS_PER_BUDGET_PANEL = 5.0
 
-# Total phase each panel of a real-space route's adaptive start sees: one
-# period.  On the coefficient sweep of criterion 2 the direct route's K15 - G7
-# estimate then stays below 1e-2 of its target, and below 0.41 with states up
-# to m = 50 added, so no panel is refined.
+# Total phase each panel of `overlap_I`'s and `coeffs_from_initial`'s adaptive
+# start sees: one period.  It is a start, not a size: over m in {0, 1, 5, 20},
+# index pairs up to (60, 60), alpha-ratios -5 to 20 and xi 0.2-3, 213 of 300
+# `overlap_I` starts refined (2.6x the start's panels in the median, 3.9x at
+# most); over eigenstate profiles at m in {0, 1, 5}, n <= 5 and n_max 30 and
+# 60, every one of 90 `coeffs_from_initial` projections bisected each panel
+# once (3x).
 _PANEL_RADIANS = 2.0 * math.pi
+
+# The direct route's Gauss-Legendre orders: n nodes resolve 2.4 rad of total
+# phase per node past their first 16.  Against composite Gauss-Legendre at 512
+# nodes a panel, over m in {0, 1, 5, 20, 50}, n_max in {4, 20, 60} and xi
+# 0.1-5, on eigenstate starts at alpha-ratios -5 to 5 (248 cells, 24-754 rad)
+# and on random states at +-1 and +-20 (180 cells, up to 3379 rad), the fewest
+# nodes meeting a tenth of `integrate`'s target were at most 16 past 2.76 rad
+# per node (a random state at alpha-ratio 20 with n_max 4, where the wall's
+# chirp dominates; 3.54 on the eigenstate starts).
+_DIRECT_RADIANS_PER_NODE = 2.4
+_DIRECT_SPARE_NODES = 16
 
 # A rule's half-rule of h nodes resolves 1.4 rad of total phase per node past
 # its first 32.  Against a 3000-node rule, over m in {0, 1, 2, 5, 20}, n_max in
@@ -236,20 +254,95 @@ def _rule_nodes(radians: float) -> int | None:
     return nodes if nodes <= _RULE_NODES_MAX else None
 
 
+def _phase_within_budget(radians: float) -> float:
+    """|radians|, or NumericError at once past what quad.PANEL_BUDGET panels
+    can resolve, instead of spending the budget."""
+    limit = _RADIANS_PER_BUDGET_PANEL * quad.PANEL_BUDGET
+    if not abs(radians) <= limit:
+        raise NumericError(
+            f"total phase {abs(radians):.4g} rad is beyond the {limit:.4g} rad that "
+            f"quad.PANEL_BUDGET = {quad.PANEL_BUDGET} panels can resolve")
+    return abs(radians)
+
+
 def _osc_panels(radians: float, per_panel: float = _PANEL_RADIANS) -> int:
     """Initial panel count so each panel sees at most `per_panel` of total
     phase.
 
     Capped so a huge phase cannot demand gigabytes up front; past the cap the
     adaptive refinement takes over.  A phase beyond what the panel budget can
-    resolve raises NumericError at once instead of spending the budget.
+    resolve raises NumericError (`_phase_within_budget`).
     """
-    limit = _RADIANS_PER_BUDGET_PANEL * quad.PANEL_BUDGET
-    if not abs(radians) <= limit:
-        raise NumericError(
-            f"total phase {abs(radians):.4g} rad is beyond the {limit:.4g} rad that "
-            f"quad.PANEL_BUDGET = {quad.PANEL_BUDGET} panels can resolve")
-    return min(max(8, int(math.ceil(abs(radians) / per_panel)) + 1), 2048)
+    radians = _phase_within_budget(radians)
+    return min(max(8, int(math.ceil(radians / per_panel)) + 1), 2048)
+
+
+def _direct_rungs(wall: float, bessel: float):
+    """The direct route's rungs (panels, n): Gauss-Legendre of orders n and
+    n + 32 on `panels` equal panels of [0, 1].
+
+    The first rung is the fewest panels whose worst, the last, resolves its
+    total phase at an order within the cap: the wall's chirp, `wall` =
+    |alpha| xi over [0, 1], turns (2 panels - 1) / panels^2 of it there, and
+    the Bessel blocks' `bessel` = 2 x_max turn evenly.  Each next rung takes
+    32 nodes more per panel up to the cap, then one panel more.
+    """
+    step, cap = quad._GAUSS_STEP, quad._GAUSS_NODES_MAX
+    panels = 1
+    while True:
+        phase = (wall * (2 * panels - 1) / panels + bessel) / panels
+        n = step * math.ceil((math.ceil(phase / _DIRECT_RADIANS_PER_NODE) + _DIRECT_SPARE_NODES) / step)
+        if n + step <= cap:
+            break
+        panels += 1
+    while True:
+        yield panels, n
+        if n + 2 * step <= cap:
+            n += step
+        else:
+            panels += 1
+
+
+def _gauss_sum(project, panels: int, order: int, comps: int) -> np.ndarray:
+    """Gauss-Legendre of `order` nodes on `panels` equal panels of [0, 1],
+    all in one array projected in slices of at most quad._CHUNK_ELEMS
+    values."""
+    x, wx = quad.gauss_legendre(order)
+    s = ((np.arange(panels)[:, None] + x) / panels).ravel()
+    w = np.tile(wx / panels, panels)
+    chunk = max(1, quad._CHUNK_ELEMS // comps)
+    return sum(project(s[a:a + chunk], w[a:a + chunk]) for a in range(0, s.size, chunk))
+
+
+def _direct_quad(project, wall: float, bessel: float, comps: int) -> np.ndarray:
+    """int_0^1 of the direct route's integrand on Gauss-Legendre rungs.
+
+    `project(s, w)` returns sum_j w_j f(s_j), of `comps` components, for the
+    integrand f at nodes s under weights w.  On each rung of `_direct_rungs`
+    (total phase `wall` + `bessel`) both orders are summed
+    (`_gauss_sum`), and the higher is returned once the largest component of
+    their difference meets `integrate`'s default target; a miss climbs one
+    rung.  NumericError on a phase past `_phase_within_budget` or a NaN or
+    infinite estimate, and BudgetExceededError once PANEL_BUDGET * 15 nodes
+    are spent.
+    """
+    _phase_within_budget(wall + bessel)
+    budget = quad.PANEL_BUDGET * 15
+    spent = used = 0
+    for panels, n in _direct_rungs(wall, bessel):
+        lo, hi = (_gauss_sum(project, panels, order, comps) for order in (n, n + quad._GAUSS_STEP))
+        spent += panels * (2 * n + quad._GAUSS_STEP)
+        used += 2 * panels
+        err = float(np.max(np.abs(hi - lo)))
+        if not math.isfinite(err):
+            raise NumericError(f"integrand is not finite: error estimate {err}")
+        target = max(ABS_TOL, REL_TOL * float(np.max(np.abs(hi))))
+        if err <= target:
+            return hi
+        if spent >= budget:
+            raise quad.BudgetExceededError(
+                f"node budget {budget} exhausted at error {err:.3e} (target {target:.3e})",
+                quad.QuadResult(value=hi, err_estimate=err, panels_used=used))
 
 
 # --------------------------------------------------------------------------
@@ -563,27 +656,27 @@ def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
     """b_n'(t) by real-space projection of the summed exact wave.
 
     Independent numerical route to the same coefficients as `b_coeffs`: the
-    evolved wave is reconstructed on quadrature abscissae from the exact
-    modes and projected against each instantaneous eigenstate by adaptive
-    integration on its own panel layout; it never reads the tabulated overlap
-    rule that `b_coeffs` uses.  The Bessel block at each node serves both the
-    reconstruction and the projection.
+    evolved wave is reconstructed from the exact modes on Gauss-Legendre
+    nodes and projected against each instantaneous eigenstate there, at two
+    orders sized from the total phase |alpha| xi + 2 x_max and judged by
+    their difference (`_direct_quad`).  It never reads the tabulated overlap
+    rule that `b_coeffs` uses, nor its Fejer nodes, nor adaptive quadrature.
+    The Bessel block at each node serves both the reconstruction and the
+    projection.
     With `drop_moving_phase` the reconstruction is knowingly wrong and the
     agreement with `b_coeffs` must break down.
     """
     _check_state_geom(state, geom)
-    L = geom.L(t)
     zeros, absj = _zeros_cached(state.m, state.n_max)
 
-    def f(sigma):
-        j = bessel_j(state.m, sigma[:, None] * zeros[None, :])
-        wave = modes(state.m, sigma, t, geom, state.n_max, drop_moving_phase,
+    def project(s, w):
+        j = bessel_j(state.m, s[:, None] * zeros[None, :])
+        wave = modes(state.m, s, t, geom, state.n_max, drop_moving_phase,
                      bessel_block=j) @ state.coeffs
-        return (sigma * wave)[:, None] * j
+        return _real_matmul(j.T, w * s * wave)
 
-    res = integrate(f, 0.0, 1.0,
-                    initial_panels=_osc_panels(abs(geom.alpha) * geom.xi(t) + 2.0 * float(zeros[-1])))
-    return math.sqrt(2.0) * L * np.asarray(res.value) / absj
+    q = _direct_quad(project, abs(geom.alpha) * geom.xi(t), 2.0 * float(zeros[-1]), state.n_max)
+    return math.sqrt(2.0) * geom.L(t) * q / absj
 
 
 # --------------------------------------------------------------------------

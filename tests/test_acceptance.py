@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qtrap import evolve, oracle, spectral
+from qtrap import evolve, oracle, quad, spectral
 from qtrap.evolve import (
     density_profile,
     density_timeseries,
@@ -114,31 +114,43 @@ def test_criterion_03_two_path_coefficients(coefficient_sweep):
 
 
 def test_criterion_02_corners_need_no_refinement(monkeypatch):
-    # at the ends of each sweep range the direct route's start, one period of
-    # phase per GK15 panel, meets the target on the first estimate and refines
-    # no panel; b_coeffs and an m = 5 kernel read stay on the overlap rule
-    real = spectral.integrate
-    calls = []
+    # at the ends of each sweep range, and beyond it at xi = 0.1 and for the
+    # state (50, 1) at the (0, 1) cells' wall speeds (its own mode scale
+    # truncates at alpha-ratio 5), the direct route takes the first pair of
+    # Gauss-Legendre orders sized from its phase, climbs no rung and never
+    # integrates adaptively; b_coeffs and an m = 5 kernel read stay on the
+    # overlap rule
+    calls, orders = [], []
+    real_integrate, real_gauss = spectral.integrate, quad.gauss_legendre
 
     def spy(f, a, b, initial_panels=8):
-        res = real(f, a, b, initial_panels=initial_panels)
-        calls.append((initial_panels, res.panels_used))
-        return res
+        calls.append(initial_panels)
+        return real_integrate(f, a, b, initial_panels=initial_panels)
+
+    def gauss_spy(nodes):
+        orders.append(nodes)
+        return real_gauss(nodes)
 
     monkeypatch.setattr(spectral, "integrate", spy)
+    monkeypatch.setattr(quad, "gauss_legendre", gauss_spy)
     x5 = _x(5, 1)
+    cells = [(m, n, _x(m, n)) for m, n in SWEEP_MODES] + [(50, 1, _x(0, 1))]
     for ratio in SWEEP_RATIOS:
-        xis = XI_EXPAND if ratio > 0 else XI_CONTRACT
-        for xi in (xis[0], xis[-1]):
-            for m, n in SWEEP_MODES:
-                geom = TrapGeometry.from_alpha(ratio * 0.5 * _x(m, n))
+        xis = (XI_EXPAND[0], XI_EXPAND[-1]) if ratio > 0 else (XI_CONTRACT[0], XI_CONTRACT[-1], 0.1)
+        for xi in xis:
+            for m, n, x in cells:
+                geom = TrapGeometry.from_alpha(ratio * 0.5 * x)
                 state = spectral.coeffs_from_eigenstate(m, n, geom)
                 t = (xi - 1.0) / geom.u
                 calls.clear()
                 spectral.b_coeffs(state, t, geom)
                 assert calls == [], (m, n, ratio, xi)
+                orders.clear()
                 spectral.b_coeffs_direct(state, t, geom)
-                assert len(calls) == 1 and calls[0][1] == calls[0][0], (m, n, ratio, xi, calls)
+                x_max = spectral._zeros_cached(m, state.n_max)[0][-1]
+                panels, first = next(spectral._direct_rungs(abs(geom.alpha) * xi, 2.0 * x_max))
+                assert calls == [] and panels == 1, (m, n, ratio, xi, calls, panels)
+                assert orders == [first, first + 32], (m, n, ratio, xi, orders)
 
             geom = TrapGeometry.from_alpha(ratio * 0.5 * x5)
             t = (xi - 1.0) / geom.u

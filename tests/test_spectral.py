@@ -305,7 +305,8 @@ def test_overlap_products_memory():
 
 
 def test_direct_coefficients_do_not_read_overlap_rule(monkeypatch):
-    # the two-path check holds b_coeffs against a route of its own
+    # the two-path check holds b_coeffs against a route of its own: no
+    # overlap rule, no Fejer nodes, no adaptive quadrature
     def refuse(*args, **kwargs):
         raise AssertionError("b_coeffs_direct read the overlap rule")
 
@@ -313,7 +314,60 @@ def test_direct_coefficients_do_not_read_overlap_rule(monkeypatch):
     state = coeffs_from_eigenstate(0, 1, geom, n_max=20)
     monkeypatch.setattr(spectral, "_bessel_grid", refuse)
     monkeypatch.setattr(spectral, "_gram", refuse)
+    monkeypatch.setattr(quad, "fejer2", refuse)
+    monkeypatch.setattr(spectral, "integrate", refuse)
     assert np.all(np.isfinite(b_coeffs_direct(state, 0.4, geom)))
+
+
+def _chirp_state():
+    # a wall chirp of 72 rad against Bessel blocks of 2 x_04 = 23 rad: the
+    # fewest Gauss-Legendre nodes meeting the target, 48, lie between the
+    # first two rungs
+    geom = TrapGeometry.from_alpha(24.0)
+    state = spectral.SpectralState(m=0, alpha=geom.alpha, coeffs=[0.5, 0.5j, -0.5, 0.5])
+    return state, 2.0 / geom.u, geom  # xi = 3
+
+
+def test_direct_route_climbs_on_a_missed_estimate(monkeypatch):
+    # forced one rung short, the first pair (32, 64) misses the target; the
+    # route climbs once, to the pair it would have started from
+    orders = []
+    real = quad.gauss_legendre
+
+    def spy(nodes):
+        orders.append(nodes)
+        return real(nodes)
+
+    state, t, geom = _chirp_state()
+    series = b_coeffs(state, t, geom)
+    monkeypatch.setattr(quad, "gauss_legendre", spy)
+    b_coeffs_direct(state, t, geom)
+    assert orders == [64, 96]
+    monkeypatch.setattr(spectral, "_DIRECT_SPARE_NODES", spectral._DIRECT_SPARE_NODES - 32)
+    orders.clear()
+    direct = b_coeffs_direct(state, t, geom)
+    assert orders == [32, 64, 64, 96]
+    assert np.max(np.abs(series - direct)) < 1e-8
+
+
+def test_direct_route_spends_node_budget(monkeypatch):
+    # a target no estimate meets: the route climbs until PANEL_BUDGET * 15
+    # nodes are spent, and the error carries its last estimate
+    state, t, geom = _chirp_state()
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 100)
+    monkeypatch.setattr(spectral, "ABS_TOL", 0.0)
+    monkeypatch.setattr(spectral, "REL_TOL", 0.0)
+    with pytest.raises(quad.BudgetExceededError, match="node budget 1500 exhausted") as info:
+        b_coeffs_direct(state, t, geom)
+    assert 0.0 < info.value.result.err_estimate < 1e-12
+
+
+def test_direct_route_refuses_phase_past_budget():
+    # the one limit on phase is _osc_panels' refusal, with its message
+    geom = TrapGeometry.from_alpha(5e4)
+    state = spectral.SpectralState(m=0, alpha=geom.alpha, coeffs=[1.0, 0.0])
+    with pytest.raises(NumericError, match=r"total phase 1\.5e\+05 rad .*PANEL_BUDGET = 20000"):
+        b_coeffs_direct(state, 2.0 / geom.u, geom)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
