@@ -2,9 +2,9 @@
 possibly oscillatory, possibly vector-valued integrands, and two fixed rule
 families over (0, 1) for callers that size and judge their own sums.
 
-`integrate`'s integrand is called with a single 1-D array holding every abscissa of the
-current refinement wave, so array-natured integrands (Bessel rows, phase
-factors) are evaluated in one shot.  Refinement bisects every panel whose
+`integrate` calls its integrand with a single 1-D array holding every
+abscissa of the current refinement wave, so array-natured integrands (Bessel
+rows, phase factors) are evaluated in one shot.  Refinement bisects every panel whose
 local error estimate exceeds its share of the target, which converges in few
 waves even for strongly oscillatory phases.
 
@@ -163,8 +163,8 @@ def gauss_legendre(nodes: int):
     positive, and the rule is exact below degree 2 nodes.  The roots x of
     P_nodes in (0, 1) start from Tricomi's asymptotic form and take Newton
     steps on the three-term recurrence until a step is below 1e-15 (three on
-    every order); w = (1 - x^2) / d^2 with d = (1 - x^2) P'_nodes(x), from the
-    same recurrence.
+    every order but 32, which takes four); w = (1 - x^2) / d^2 with
+    d = (1 - x^2) P'_nodes(x), from the same recurrence.
     """
     if not (0 < nodes <= _GAUSS_NODES_MAX and nodes % _GAUSS_STEP == 0):
         raise ValueError(f"nodes must be a multiple of {_GAUSS_STEP} up to {_GAUSS_NODES_MAX}, "

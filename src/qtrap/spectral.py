@@ -291,7 +291,8 @@ def _direct_rungs(wall: float, bessel: float):
     panels = 1
     while True:
         phase = (wall * (2 * panels - 1) / panels + bessel) / panels
-        n = step * math.ceil((math.ceil(phase / _DIRECT_RADIANS_PER_NODE) + _DIRECT_SPARE_NODES) / step)
+        nodes = math.ceil(phase / _DIRECT_RADIANS_PER_NODE) + _DIRECT_SPARE_NODES
+        n = step * math.ceil(nodes / step)
         if n + step <= cap:
             break
         panels += 1
