@@ -266,10 +266,10 @@ def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
     for the frequencies 0 and 2m, splits off the part of each m (both angular
     branches for m > 0, as in `propagator`); that part is projected onto the
     modes at t' on the overlap rule the wall phase at t' needs, sampled in
-    one call on its radii, with adaptive quadrature as the fallback where the
-    rule does not suffice (`spectral._mode_coeffs`), and evaluated with
-    `modes` at t.  A point on or past the wall gets
-    `modes`' zero row, so the result there is zero.
+    one call on its radii (in slices of 2048 past the tabulated levels) and
+    climbing its nested levels until their estimate meets the target
+    (`spectral._mode_coeffs`), and evaluated with `modes` at t.  A point on
+    or past the wall gets `modes`' zero row, so the result there is zero.
     """
     m_list = _check_m_list(m_list)
     rho, phi = _check_point(*r)

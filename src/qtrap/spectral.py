@@ -24,27 +24,29 @@ b_n'(t) onto the moving instantaneous basis is the overlap matrix
 
 applied to one vector.
 
-Three kinds of radial integral of Bessel blocks go through one product,
-`_gram`: int w(s) h^T right(s, h) ds on a `_Rule`, Fejer's second rule over
-(0, 1) with the blocks h tabulated on its nodes, for a right factor formed at
-the nodes.  Each integrand is entire in s, so the rule converges
-geometrically; each product takes the smallest of the nested levels whose
-half-rule resolves the total phase (`_rule_nodes`), judges itself by the
-difference to that half-rule, and falls back to adaptive quadrature when
-that estimate misses or the phase outruns the largest level.  The overlap
-rule holds J_m(x_mn s_j) once per (m, N_max, level).  Overlaps (`_i_matrix`)
-take the wave h u of the one vector u a caller needs, so no caller forms a
-whole overlap matrix (I is symmetric: a row is I e_n); the moment tables
-take the block h itself; projections of a wave onto the modes
-(`_mode_coeffs`, the kernel) take the wave's own samples, on the overlap
-rule under the overlaps' weight.  The real-space routes never read the rule.
-`b_coeffs_direct`, held against `b_coeffs` by the two-path check, sums on
-Gauss-Legendre nodes, a family the rule does not use, at two orders sized
-from its total phase and judged by their difference (`_direct_quad`).
-`coeffs_from_initial`, held against `coeffs_from_eigenstate` (its initial
-state need not be entire), and the single overlap `overlap_I`, the adaptive
-reference the rule's tests use, integrate by adaptive Gauss-Kronrod from one
-period per panel (`_PANEL_RADIANS`).
+Every fixed-rule radial integral of Bessel blocks goes through one product,
+`_gram`: int w(s) h^T right(s, h) ds for a right factor formed at the
+nodes, summed on a ladder of rules (`_Rule`) that the blocks carry
+(`_Blocks.rules`), each with its own error estimate; the first rule whose
+estimate meets the target is taken.  Each integrand is entire in s, so
+every rung converges geometrically.  The overlap rule and the moment tables
+climb the nested levels of Fejer's second rule over (0, 1), from the
+smallest whose half-rule resolves the total phase (`_rule_nodes`), judged by
+the difference to that half-rule; levels up to `_RULE_NODES_MAX` nodes are
+tabulated once per key, and the overlap rule holds J_m(x_mn s_j) once per
+(m, N_max, level).  Overlaps (`_i_matrix`) take the wave h u of the one
+vector u a caller needs, so no caller forms a whole overlap matrix (I is
+symmetric: a row is I e_n); the moment tables take the block h itself;
+projections of a wave onto the modes (`_mode_coeffs`, the kernel) take the
+wave's own samples, on the overlap rule under the overlaps' weight.  The
+real-space routes never read the rule.  `b_coeffs_direct`, held against
+`b_coeffs` by the two-path check, is a `_gram` on Gauss-Legendre rules, a
+family the overlap rule does not use, at two orders sized from its total
+phase and judged by their difference (`_gauss_rules`).  Only the adaptive
+references integrate by adaptive Gauss-Kronrod, from half a period per panel
+(`_PANEL_RADIANS`): `coeffs_from_initial`, held against
+`coeffs_from_eigenstate` (its initial state need not be entire), and the
+single overlap `overlap_I`, which the rule's tests hold the products to.
 
 Operator matrix elements in that moving basis are elementary in the zeros
 alone (`_zero_blocks`, the Lommel integrals).  The six Bessel moment
@@ -58,7 +60,7 @@ moment tables are each built once per key by a `functools.cache` builder.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
@@ -198,24 +200,26 @@ def _zero(m: int, n: int) -> float:
     return float(_zeros_cached(m, n)[0][n - 1])
 
 
-# Radians of total phase per panel of `quad.PANEL_BUDGET` that `_osc_panels`
-# accepts.  Measured at the budget of 20000, on 2 cores: the largest phase
-# that converged was 2.44e4 for `energy_ratio_paths` (m = 0, n = 1, xi = 2e4,
-# 1.7 s) and 4e4 for a chirp whose amplitude vanishes as (1 - s)^8 at the
-# wall (11984 panels); at 3.04e4 and 3.65e4 `energy_ratio_paths` spent the
-# budget in 1.1-1.2 s, and no integrand tried converged at 5e4, so the limit
-# of 1e5 keeps a factor of 2.  Past 1.3e4 every start is the 2048-panel cap,
-# so these figures do not depend on the radians per panel.
+# Radians of total phase per panel of `quad.PANEL_BUDGET` that
+# `_phase_within_budget` accepts, for every `_gram` product and adaptive start.
+# Measured at the budget of 20000, on 2 cores, while `energy_ratio_paths` still
+# fell back to adaptive quadrature: the largest phase that converged was 2.44e4
+# for `energy_ratio_paths` (m = 0, n = 1, xi = 2e4, 1.7 s) and 4e4 for a chirp
+# whose amplitude vanishes as (1 - s)^8 at the wall (11984 panels); at 3.04e4
+# and 3.65e4 `energy_ratio_paths` spent the budget in 1.1-1.2 s, and no
+# integrand tried converged at 5e4, so the limit of 1e5 keeps a factor of 2.
+# Past 1.3e4 every start is the 2048-panel cap, so these figures do not depend
+# on the radians per panel.
 _RADIANS_PER_BUDGET_PANEL = 5.0
 
-# Total phase each panel of `overlap_I`'s and `coeffs_from_initial`'s adaptive
-# start sees: one period.  It is a start, not a size: over m in {0, 1, 5, 20},
-# index pairs up to (60, 60), alpha-ratios -5 to 20 and xi 0.2-3, 213 of 300
-# `overlap_I` starts refined (2.6x the start's panels in the median, 3.9x at
-# most); over eigenstate profiles at m in {0, 1, 5}, n <= 5 and n_max 30 and
-# 60, every one of 90 `coeffs_from_initial` projections bisected each panel
-# once (3x).
-_PANEL_RADIANS = 2.0 * math.pi
+# Total phase each panel of an adaptive start sees: half a period.  It serves
+# the adaptive references, `overlap_I` and `coeffs_from_initial`.  One period
+# was undersized.  Over 200 `overlap_I` calls (m in {0, 1, 5, 20}, index pairs
+# up to (60, 60), alpha-ratios -5 to 20, xi 0.2-3), 200 starts refined at one
+# period and none at half, and the panels went 25488 -> 19297.  Over 108
+# `coeffs_from_initial` projections (eigenstates at m in {0, 1, 5}, n <= 3,
+# n_max 30 and 60), 108 refined and then 2, and the panels went 9012 -> 6200.
+_PANEL_RADIANS = math.pi
 
 # The direct route's Gauss-Legendre orders: n nodes resolve 2.4 rad of total
 # phase per node past their first 16.  Against composite Gauss-Legendre at 512
@@ -232,26 +236,19 @@ _DIRECT_SPARE_NODES = 16
 # its first 32.  Against a 3000-node rule, over m in {0, 1, 2, 5, 20}, n_max in
 # {2, 4, 8, 20, 60}, wall phases 0-900 rad and the A^{-1} table, the fewest
 # nodes meeting a tenth of `integrate`'s target were at most 31.3 past 1.4 rad
-# per node.  The largest rule, 2047 nodes, resolves 1387 rad.
+# per node.  Levels up to 2047 nodes (1387 rad) are tabulated and cached; a
+# level past it is summed in slices of 2048 nodes with its blocks evaluated
+# there, never held whole (a level for 1e5 rad would hold 126 MB at n_max 60).
 _RADIANS_PER_NODE = 1.4
 _SPARE_NODES = 32
 _RULE_NODES_MAX = 2047
 
-# Total phase per panel of a `_gram` fallback's start: half a period.  Past the
-# largest rule one period of 2 |alpha| xi + 2 x_max is too coarse:
-# energy_ratio_paths (m = 0, n = 1) at wall phases of 1100 and 1500 rad refined
-# from 411 and 539 panels to 681 and 925; from 471 and 598 here, none.
-_FALLBACK_RADIANS = math.pi
 
-
-def _rule_nodes(radians: float) -> int | None:
+def _rule_nodes(radians: float) -> int:
     """Nodes N = 2^k - 1 of the smallest rule whose half-rule of (N - 1)/2
-    nodes resolves the total phase `radians`; None past the largest, or NaN."""
-    if not radians < math.inf:
-        return None
+    nodes resolves the total phase `radians`."""
     half = math.ceil(radians / _RADIANS_PER_NODE) + _SPARE_NODES
-    nodes = 2 ** (half.bit_length() + 1) - 1
-    return nodes if nodes <= _RULE_NODES_MAX else None
+    return 2 ** (half.bit_length() + 1) - 1
 
 
 def _phase_within_budget(radians: float) -> float:
@@ -265,16 +262,16 @@ def _phase_within_budget(radians: float) -> float:
     return abs(radians)
 
 
-def _osc_panels(radians: float, per_panel: float = _PANEL_RADIANS) -> int:
-    """Initial panel count so each panel sees at most `per_panel` of total
-    phase.
+def _osc_panels(radians: float) -> int:
+    """Initial panel count of an adaptive start, so each panel sees at most
+    `_PANEL_RADIANS` of total phase.
 
     Capped so a huge phase cannot demand gigabytes up front; past the cap the
     adaptive refinement takes over.  A phase beyond what the panel budget can
     resolve raises NumericError (`_phase_within_budget`).
     """
     radians = _phase_within_budget(radians)
-    return min(max(8, int(math.ceil(radians / per_panel)) + 1), 2048)
+    return min(max(8, int(math.ceil(radians / _PANEL_RADIANS)) + 1), 2048)
 
 
 def _direct_rungs(wall: float, bessel: float):
@@ -302,48 +299,6 @@ def _direct_rungs(wall: float, bessel: float):
             n += step
         else:
             panels += 1
-
-
-def _gauss_sum(project, panels: int, order: int, comps: int) -> np.ndarray:
-    """Gauss-Legendre of `order` nodes on `panels` equal panels of [0, 1],
-    all in one array projected in slices of at most quad._CHUNK_ELEMS
-    values."""
-    x, wx = quad.gauss_legendre(order)
-    s = ((np.arange(panels)[:, None] + x) / panels).ravel()
-    w = np.tile(wx / panels, panels)
-    chunk = max(1, quad._CHUNK_ELEMS // comps)
-    return sum(project(s[a:a + chunk], w[a:a + chunk]) for a in range(0, s.size, chunk))
-
-
-def _direct_quad(project, wall: float, bessel: float, comps: int) -> np.ndarray:
-    """int_0^1 of the direct route's integrand on Gauss-Legendre rungs.
-
-    `project(s, w)` returns sum_j w_j f(s_j), of `comps` components, for the
-    integrand f at nodes s under weights w.  On each rung of `_direct_rungs`
-    (total phase `wall` + `bessel`) both orders are summed
-    (`_gauss_sum`), and the higher is returned once the largest component of
-    their difference meets `integrate`'s default target; a miss climbs one
-    rung.  NumericError on a phase past `_phase_within_budget` or a NaN or
-    infinite estimate, and BudgetExceededError once PANEL_BUDGET * 15 nodes
-    are spent.
-    """
-    _phase_within_budget(wall + bessel)
-    budget = quad.PANEL_BUDGET * 15
-    spent = used = 0
-    for panels, n in _direct_rungs(wall, bessel):
-        lo, hi = (_gauss_sum(project, panels, order, comps) for order in (n, n + quad._GAUSS_STEP))
-        spent += panels * (2 * n + quad._GAUSS_STEP)
-        used += 2 * panels
-        err = float(np.max(np.abs(hi - lo)))
-        if not math.isfinite(err):
-            raise NumericError(f"integrand is not finite: error estimate {err}")
-        target = max(ABS_TOL, REL_TOL * float(np.max(np.abs(hi))))
-        if err <= target:
-            return hi
-        if spent >= budget:
-            raise quad.BudgetExceededError(
-                f"node budget {budget} exhausted at error {err:.3e} (target {target:.3e})",
-                quad.QuadResult(value=hi, err_estimate=err, panels_used=used))
 
 
 # --------------------------------------------------------------------------
@@ -375,23 +330,27 @@ def overlap_I(m: int, n_row: int, n_col: int, t: float, alpha: float,
 
 
 class _Rule(NamedTuple):
-    """Bessel blocks `tab` at the nodes `s` of `quad.fejer2`, one row per
-    node and one column per zero, with its weights `w` and `w_err`."""
+    """Nodes `s` in (0, 1) with weights `w` and error weights `w_err`, so
+    sum(w_err f) estimates the error of sum(w f), and `tab`, the Bessel
+    blocks tabulated on the nodes (one row per node, one column per zero;
+    at most _RULE_NODES_MAX nodes), or None where `_gram` evaluates them as
+    it sums."""
 
     s: np.ndarray
     w: np.ndarray
     w_err: np.ndarray
-    tab: tuple[np.ndarray, ...]
+    tab: tuple[np.ndarray, ...] | None
 
 
 class _Blocks(NamedTuple):
     """Bessel blocks for `_gram`: `at(s)` evaluates them at nodes s (as
     `_Rule.tab`), `phase` is the total phase 2 x_max of a product of two and
-    `rule(nodes)` tabulates them on `nodes` nodes."""
+    `rules(wall)` is the ladder of rules, coarsest first, for a product whose
+    other factors carry `wall` radians more."""
 
     at: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     phase: float
-    rule: Callable[[int], _Rule]
+    rules: Callable[[float], Iterator[_Rule]]
 
 
 def _tabulate(at, nodes: int) -> _Rule:
@@ -399,11 +358,37 @@ def _tabulate(at, nodes: int) -> _Rule:
     return _Rule(s, w, w_err, at(s))
 
 
+def _fejer_blocks(at, phase: float, tabulated: Callable[[int], _Rule]) -> _Blocks:
+    """Blocks `at` of total phase `phase` on the nested levels of Fejer's
+    second rule, from the smallest whose half-rule resolves the product's
+    phase (`_rule_nodes`): `tabulated(nodes)` up to _RULE_NODES_MAX nodes,
+    the bare rule past it."""
+    def rules(wall):
+        nodes = _rule_nodes(wall + phase)
+        while True:
+            yield tabulated(nodes) if nodes <= _RULE_NODES_MAX else _Rule(*quad.fejer2(nodes), None)
+            nodes = 2 * nodes + 1
+
+    return _Blocks(at, phase, rules)
+
+
+def _gauss_rules(wall: float, bessel: float) -> Iterator[_Rule]:
+    """The direct route's ladder, one rule per rung of `_direct_rungs`: the
+    nodes of both orders on each panel, w the higher order's weights and
+    w_err the higher's less the lower's."""
+    for panels, n in _direct_rungs(wall, bessel):
+        (s_lo, w_lo), (s_hi, w_hi) = (quad.gauss_legendre(k) for k in (n, n + quad._GAUSS_STEP))
+        s = ((np.arange(panels)[:, None] + np.concatenate([s_lo, s_hi])) / panels).ravel()
+        w = np.tile(np.concatenate([np.zeros(n), w_hi]) / panels, panels)
+        w_err = np.tile(np.concatenate([-w_lo, w_hi]) / panels, panels)
+        yield _Rule(s, w, w_err, None)
+
+
 def _overlap_blocks(m: int, n_max: int) -> _Blocks:
-    """The one block J_m(x_mn s) for zeros 1..n_max."""
+    """The one block J_m(x_mn s) for zeros 1..n_max, on the overlap rule."""
     zeros, _ = _zeros_cached(m, n_max)
-    return _Blocks(lambda s: (bessel_j(m, s[:, None] * zeros[None, :]),),
-                   2.0 * float(zeros[-1]), lambda nodes: _bessel_grid(m, n_max, nodes))
+    return _fejer_blocks(lambda s: (bessel_j(m, s[:, None] * zeros[None, :]),),
+                         2.0 * float(zeros[-1]), lambda nodes: _bessel_grid(m, n_max, nodes))
 
 
 @cache
@@ -429,33 +414,41 @@ def _gram(blocks: _Blocks, weight, right, left: int = 0, phase: float = 0.0) -> 
 
     `right(s, h)` forms the right factor at nodes s, one row per node and k
     columns, and the result is (columns of h_left, k); the weight is put on
-    the narrow side, h_left^T (w right).  `phase` is the weight's own total
-    phase.  The product is taken on the smallest rule whose half-rule
-    resolves that phase and the blocks' together, `right` called once on its
-    nodes and tabulated blocks, when the largest component of the difference
-    to the half-rule meets `integrate`'s default target.  Otherwise, or past
-    the largest rule, it is adaptive `integrate` from `_FALLBACK_RADIANS` per
-    panel, with the integrand of the same width as the result.
+    the narrow side, h_left^T (w right).  `phase` is the total phase the
+    weight and the right factor carry.  The product is summed on each rule
+    of `blocks.rules(phase)` in turn, in slices of _RULE_NODES_MAX + 1 nodes
+    (one for a tabulated rule), and the first whose largest component of
+    sum(w_err ...) meets `integrate`'s default target is returned.
+    NumericError up front on a phase past `_phase_within_budget` and on a
+    NaN or infinite estimate; BudgetExceededError, carrying the last sum, its
+    estimate and the rules summed (as `panels_used`), once PANEL_BUDGET * 15
+    nodes are spent.
     """
-    mat = None
-    nodes = _rule_nodes(phase + blocks.phase)
-    if nodes is not None:
-        rule = blocks.rule(nodes)
-        lb = rule.tab[left].T
-        rb = weight(rule.s)[:, None] * right(rule.s, rule.tab)
-        mat = _real_matmul(lb, rule.w[:, None] * rb)
-        err = float(np.max(np.abs(_real_matmul(lb, rule.w_err[:, None] * rb))))
-        # a NaN estimate fails too, and the fallback's `integrate` raises on it
-        if not err <= max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat)))):
-            mat = None
-    if mat is None:
-        def f(s):
-            h = blocks.at(s)
-            return weight(s)[:, None, None] * h[left][:, :, None] * right(s, h)[:, None, :]
-
-        panels = _osc_panels(phase + blocks.phase, _FALLBACK_RADIANS)
-        mat = np.asarray(integrate(f, 0.0, 1.0, initial_panels=panels).value)
-    return mat
+    _phase_within_budget(phase + blocks.phase)
+    budget = quad.PANEL_BUDGET * 15
+    slice_nodes = _RULE_NODES_MAX + 1
+    spent = 0
+    for rungs, rule in enumerate(blocks.rules(phase), 1):
+        mat = est = 0.0
+        for a in range(0, rule.s.size, slice_nodes):
+            part = slice(a, a + slice_nodes)
+            s = rule.s[part]
+            h = rule.tab or blocks.at(s)  # a tabulated rule is one slice
+            lb = h[left].T
+            rb = weight(s)[:, None] * right(s, h)
+            mat = mat + _real_matmul(lb, rule.w[part, None] * rb)
+            est = est + _real_matmul(lb, rule.w_err[part, None] * rb)
+        spent += rule.s.size
+        err = float(np.max(np.abs(est)))
+        if not math.isfinite(err):
+            raise NumericError(f"integrand is not finite: error estimate {err}")
+        target = max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat))))
+        if err <= target:
+            return mat
+        if spent >= budget:
+            raise quad.BudgetExceededError(
+                f"node budget {budget} exhausted at error {err:.3e} (target {target:.3e})",
+                quad.QuadResult(value=mat, err_estimate=err, panels_used=rungs))
 
 
 def _i_matrix(m: int, xi_t: float, alpha: float, n_max: int,
@@ -575,9 +568,9 @@ def b_coeffs(state: SpectralState, t: float, geom: TrapGeometry) -> np.ndarray:
     |b_n'|^2 is the occupation of instantaneous level n', so for a unitary
     evolution sum |b|^2 equals sum |c|^2 up to truncation.  The sum over n''
     is conj(I) v = conj(I conj(v)) for the vector v_n'' of the terms after
-    conj(I): one product of I with conj(v) on the tabulated overlap rule under
-    its nested error estimate, or by adaptive quadrature where the rule does
-    not suffice (see `_gram`).  The matrix itself is never formed.
+    conj(I): one product of I with conj(v) on the overlap rule, climbing its
+    nested levels until their error estimate meets the target (see `_gram`).
+    The matrix itself is never formed.
     """
     _check_state_geom(state, geom)
     zeros, absj = _zeros_cached(state.m, state.n_max)
@@ -658,26 +651,26 @@ def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
 
     Independent numerical route to the same coefficients as `b_coeffs`: the
     evolved wave is reconstructed from the exact modes on Gauss-Legendre
-    nodes and projected against each instantaneous eigenstate there, at two
-    orders sized from the total phase |alpha| xi + 2 x_max and judged by
-    their difference (`_direct_quad`).  It never reads the tabulated overlap
-    rule that `b_coeffs` uses, nor its Fejer nodes, nor adaptive quadrature.
-    The Bessel block at each node serves both the reconstruction and the
-    projection.
+    nodes and projected against each instantaneous eigenstate there, one
+    `_gram` on the rules of `_gauss_rules`, two orders sized from the total
+    phase |alpha| xi + 2 x_max and judged by their difference.  It never
+    reads the overlap rule that `b_coeffs` uses, nor its Fejer nodes, nor
+    adaptive quadrature.  The Bessel block at each node serves both the
+    reconstruction and the projection (`modes(bessel_block=...)`).
     With `drop_moving_phase` the reconstruction is knowingly wrong and the
     agreement with `b_coeffs` must break down.
     """
     _check_state_geom(state, geom)
-    zeros, absj = _zeros_cached(state.m, state.n_max)
+    _, absj = _zeros_cached(state.m, state.n_max)
+    at, bessel, _ = _overlap_blocks(state.m, state.n_max)
 
-    def project(s, w):
-        j = bessel_j(state.m, s[:, None] * zeros[None, :])
-        wave = modes(state.m, s, t, geom, state.n_max, drop_moving_phase,
-                     bessel_block=j) @ state.coeffs
-        return _real_matmul(j.T, w * s * wave)
+    def wave(s, h):
+        return (modes(state.m, s, t, geom, state.n_max, drop_moving_phase,
+                      bessel_block=h[0]) @ state.coeffs)[:, None]
 
-    q = _direct_quad(project, abs(geom.alpha) * geom.xi(t), 2.0 * float(zeros[-1]), state.n_max)
-    return math.sqrt(2.0) * geom.L(t) * q / absj
+    q = _gram(_Blocks(at, bessel, lambda wall: _gauss_rules(wall, bessel)), lambda s: s, wave,
+              phase=abs(geom.alpha) * geom.xi(t))
+    return math.sqrt(2.0) * geom.L(t) * q[:, 0] / absj
 
 
 # --------------------------------------------------------------------------
@@ -738,7 +731,7 @@ def _moment_tables(m: int, n_max: int) -> MomentTable:
         j = bessel_j(m, sx)
         return j, (m / s)[:, None] * j - zeros[None, :] * bessel_j(m + 1, sx)
 
-    tables = _Blocks(blocks, 2.0 * float(zeros[-1]), cache(lambda nodes: _tabulate(blocks, nodes)))
+    tables = _fejer_blocks(blocks, 2.0 * float(zeros[-1]), cache(lambda nodes: _tabulate(blocks, nodes)))
 
     def product(k, left, right):  # blocks 0 = g, 1 = g'
         return _gram(tables, lambda s: s ** k, lambda s, h: h[right], left)

@@ -198,8 +198,8 @@ def test_kernel_checks_rho_before_projecting(monkeypatch):
 
 
 def test_kernel_rejects_non_finite_source():
-    # a NaN wave gives a NaN error estimate on the rule; the adaptive
-    # fallback then refuses it instead of returning NaN
+    # a NaN wave gives a NaN error estimate on the rule, which the product
+    # refuses instead of returning NaN
     geom = TrapGeometry.from_alpha(1.2)
 
     def src(rho_p, phi_p):
@@ -359,12 +359,13 @@ def test_kernel_read_bessel_points(monkeypatch):
 
 
 def test_kernel_falls_back_past_rule_headroom(monkeypatch):
-    # a wall phase |alpha| xi(t') past what the largest rule resolves with
-    # 2 x_max takes the projection by adaptive quadrature: one call, same kernel
+    # a wall phase |alpha| xi(t') past what the largest tabulated level
+    # resolves with 2 x_max takes the projection on a bare level, the source
+    # sampled slice by slice: no table, no adaptive call, same kernel
     geom = TrapGeometry.from_alpha(500.0)
     t0, t1, t2 = 0.0, 0.002, 0.004
     x_max = spectral._zeros_cached(0, 20)[0][-1]
-    assert spectral._rule_nodes(abs(geom.alpha) * geom.xi(t1) + 2.0 * x_max) is None
+    assert spectral._rule_nodes(abs(geom.alpha) * geom.xi(t1) + 2.0 * x_max) > spectral._RULE_NODES_MAX
     rho0, phi0 = 0.3, 0.4
     k0 = np.conj(spectral.modes(0, [rho0], t0, geom, 20)[0])
 
@@ -373,9 +374,14 @@ def test_kernel_falls_back_past_rule_headroom(monkeypatch):
         return rad[:, None] * np.ones_like(phi_p) / (2.0 * math.pi)
 
     r = (0.5 * geom.L(t2), 1.0)
+
+    def refuse(*key):
+        raise AssertionError(f"the kernel read the tabulated level {key}")
+
     adaptive = _spy(monkeypatch, "integrate")
+    monkeypatch.setattr(spectral, "_bessel_grid", refuse)
     via_kernel = propagate_through_kernel([0], r, t2, src, t1, geom, n_max=20)
-    assert len(adaptive) == 1
+    assert adaptive == []
     direct = propagator([0], r, t2, (rho0, phi0), t0, geom, n_max=20)
     assert abs(via_kernel - direct) <= 1e-10 * max(1.0, abs(direct))
 

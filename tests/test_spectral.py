@@ -162,6 +162,20 @@ def _spy_integrate(monkeypatch):
     return calls
 
 
+def _spy_levels(monkeypatch):
+    """Record the level (node count) of every overlap rule asked of
+    `_bessel_grid`."""
+    levels = []
+    real = spectral._bessel_grid
+
+    def spy(m, n_max, nodes):
+        levels.append(nodes)
+        return real(m, n_max, nodes)
+
+    monkeypatch.setattr(spectral, "_bessel_grid", spy)
+    return levels
+
+
 _PROBES = ((0, 0), (0, 59), (17, 42), (30, 31), (59, 59))
 
 
@@ -176,36 +190,40 @@ def test_tabulated_overlap_matches_adaptive(monkeypatch):
 
 
 def test_overlap_beyond_grid_falls_back_to_adaptive(monkeypatch):
+    # past the tabulated levels the product sums a bare Fejer level, its
+    # blocks evaluated slice by slice: no table, no adaptive call
     geom = TrapGeometry.from_alpha(700.0)
     t = 0.6 / geom.u  # xi = 1.6, wall phase 1120
     x_max = _zeros(0, 60)[0][-1]
-    # past what the largest rule resolves
-    assert spectral._rule_nodes(abs(geom.alpha) * geom.xi(t) + 2.0 * x_max) is None
+    assert spectral._rule_nodes(abs(geom.alpha) * geom.xi(t) + 2.0 * x_max) > spectral._RULE_NODES_MAX
     calls = _spy_integrate(monkeypatch)
+    levels = _spy_levels(monkeypatch)
     mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 60, np.eye(60))
-    assert len(calls) == 1
+    assert calls == [] and levels == []
     for i, j in _PROBES:
         assert abs(mat[i, j] - overlap_I(0, i + 1, j + 1, t, geom.alpha, geom)) < 1e-11
 
 
 def test_overlap_falls_back_on_a_rule_one_level_short(monkeypatch):
-    # a wall phase of 300 rad on eight zeros takes the 1023-node rule; on the
-    # 511-node one the nested estimate misses and the product falls back once
+    # a wall phase of 300 rad on eight zeros takes the 1023-node rule; started
+    # on the 511-node one, the nested estimate misses and the product climbs
+    # one level, with no adaptive call
     geom = TrapGeometry.from_alpha(187.5)
     t = 0.6 / geom.u  # xi = 1.6, wall phase 300
     rule_nodes = spectral._rule_nodes
     assert rule_nodes(300.0 + 2.0 * _zeros(0, 8)[0][-1]) == 1023
     monkeypatch.setattr(spectral, "_rule_nodes", lambda radians: rule_nodes(radians) // 2)
     calls = _spy_integrate(monkeypatch)
+    levels = _spy_levels(monkeypatch)
     mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 8, np.eye(8))
-    assert len(calls) == 1
+    assert calls == [] and levels == [511, 1023]
     for i, j in ((0, 0), (0, 7), (3, 5), (7, 7)):
         assert abs(mat[i, j] - overlap_I(0, i + 1, j + 1, t, geom.alpha, geom)) < 1e-11
 
 
 def test_overlap_infinite_wall_phase_is_a_numeric_error():
-    # |alpha| xi overflows to inf: no rule resolves it, and the fallback
-    # refuses it with a typed error at once
+    # |alpha| xi overflows to inf: the product refuses it with a typed error
+    # before it sizes a rule
     geom = TrapGeometry.from_alpha(1e307)
     t = 99.0 / geom.u  # xi = 100
     with pytest.raises(NumericError, match="total phase inf rad"):
@@ -213,15 +231,22 @@ def test_overlap_infinite_wall_phase_is_a_numeric_error():
 
 
 def test_overlap_falls_back_when_grid_estimate_misses(monkeypatch):
-    # a zero target cannot be met by any error estimate
+    # a zero target cannot be met by any error estimate: the product climbs
+    # until PANEL_BUDGET * 15 nodes are spent, and the error carries its last
+    # sum and estimate
     geom = TrapGeometry.from_alpha(1.1)
     on_grid = spectral._i_matrix(1, 1.5, geom.alpha, 8, np.eye(8))
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 100)
     monkeypatch.setattr(spectral, "ABS_TOL", 0.0)
     monkeypatch.setattr(spectral, "REL_TOL", 0.0)
     calls = _spy_integrate(monkeypatch)
-    adaptive = spectral._i_matrix(1, 1.5, geom.alpha, 8, np.eye(8))
-    assert len(calls) == 1
-    assert np.max(np.abs(adaptive - on_grid)) < 1e-11
+    levels = _spy_levels(monkeypatch)
+    with pytest.raises(quad.BudgetExceededError, match="node budget 1500 exhausted") as info:
+        spectral._i_matrix(1, 1.5, geom.alpha, 8, np.eye(8))
+    assert calls == [] and levels == [255, 511, 1023]
+    last = info.value.result
+    assert 0.0 < last.err_estimate < 1e-11
+    assert np.max(np.abs(last.value - on_grid)) < 1e-11
 
 
 def _overlap_operands(n_max, seed):
@@ -232,37 +257,43 @@ def _overlap_operands(n_max, seed):
     return units, rng.normal(size=n_max) + 1j * rng.normal(size=n_max)
 
 
-def _check_overlap_products(monkeypatch, m, xi_t, alpha, n_max, adaptive_calls):
+def _check_overlap_products(monkeypatch, m, xi_t, alpha, n_max, levels, start=None):
     # I u against the full matrix times u, each product taking the same
-    # route: `adaptive_calls` adaptive integrals per product
+    # route: the tabulated `levels`, and no adaptive integral; with `start`,
+    # every product but the full one starts on that level
     full = spectral._i_matrix(m, xi_t, alpha, n_max, np.eye(n_max))
+    if start is not None:
+        monkeypatch.setattr(spectral, "_rule_nodes", lambda radians: start)
     calls = _spy_integrate(monkeypatch)
+    asked = _spy_levels(monkeypatch)
     for u in _overlap_operands(n_max, m):
-        calls.clear()
+        asked.clear()
         product = spectral._i_matrix(m, xi_t, alpha, n_max, u)
-        assert len(calls) == adaptive_calls
+        assert calls == [] and asked == levels
         assert product.shape == u.shape
         assert np.max(np.abs(product - full @ u)) < 1e-12
 
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_overlap_products_on_the_rule(monkeypatch, m):
-    _check_overlap_products(monkeypatch, m, 1.6, 2.3, 60, adaptive_calls=0)
+    _check_overlap_products(monkeypatch, m, 1.6, 2.3, 60, levels=[1023])
 
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_overlap_products_beyond_grid_fall_back(monkeypatch, m):
-    # wall phase 1440, past what the largest rule resolves with 2 x_max < 60
+    # wall phase 1440, past what the largest tabulated level resolves with
+    # 2 x_max < 60: a bare level, no table
     n_max, alpha, xi_t = 8, 900.0, 1.6
-    assert spectral._rule_nodes(alpha * xi_t + 2.0 * _zeros(m, n_max)[0][-1]) is None
-    _check_overlap_products(monkeypatch, m, xi_t, alpha, n_max, adaptive_calls=1)
+    assert spectral._rule_nodes(alpha * xi_t + 2.0 * _zeros(m, n_max)[0][-1]) > spectral._RULE_NODES_MAX
+    _check_overlap_products(monkeypatch, m, xi_t, alpha, n_max, levels=[])
 
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_overlap_products_fall_back_when_estimate_misses(monkeypatch, m):
-    monkeypatch.setattr(spectral, "ABS_TOL", 0.0)
-    monkeypatch.setattr(spectral, "REL_TOL", 0.0)
-    _check_overlap_products(monkeypatch, m, 1.5, 1.1, 8, adaptive_calls=1)
+    # the 255-node level is sized for this phase; started on 31 nodes, each
+    # product climbs past the levels whose estimate misses, up to 127
+    assert spectral._rule_nodes(1.1 * 1.5 + 2.0 * _zeros(m, 8)[0][-1]) == 255
+    _check_overlap_products(monkeypatch, m, 1.5, 1.1, 8, levels=[31, 63, 127], start=31)
 
 
 def test_callers_apply_overlaps_to_vectors(monkeypatch):
@@ -304,19 +335,47 @@ def test_overlap_products_memory():
         assert peak < block
 
 
+def test_overlap_products_past_the_tables_memory(monkeypatch):
+    # a wall phase of 6000 rad takes a level of 16383 nodes at n_max 60,
+    # whose block alone would hold 7.9 MB: it is summed in slices of 2048
+    # nodes, and neither it nor a (nodes x n_max x k) integrand is held
+    geom = TrapGeometry.from_alpha(3000.0)
+    t = 1.0 / geom.u  # xi = 2
+    energy_ratio_paths(0, 1, t, geom)
+    calls = _spy_integrate(monkeypatch)
+    tracemalloc.start()
+    try:
+        energy_ratio_paths(0, 1, t, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert calls == []
+
+
 def test_direct_coefficients_do_not_read_overlap_rule(monkeypatch):
     # the two-path check holds b_coeffs against a route of its own: no
-    # overlap rule, no Fejer nodes, no adaptive quadrature
+    # overlap rule, no tabulated rule, no Fejer nodes, no adaptive
+    # quadrature, but Gauss-Legendre nodes
     def refuse(*args, **kwargs):
         raise AssertionError("b_coeffs_direct read the overlap rule")
+
+    orders = []
+    real = quad.gauss_legendre
+
+    def spy(nodes):
+        orders.append(nodes)
+        return real(nodes)
 
     geom = TrapGeometry.from_alpha(1.3)
     state = coeffs_from_eigenstate(0, 1, geom, n_max=20)
     monkeypatch.setattr(spectral, "_bessel_grid", refuse)
-    monkeypatch.setattr(spectral, "_gram", refuse)
+    monkeypatch.setattr(spectral, "_tabulate", refuse)
     monkeypatch.setattr(quad, "fejer2", refuse)
     monkeypatch.setattr(spectral, "integrate", refuse)
+    monkeypatch.setattr(quad, "gauss_legendre", spy)
     assert np.all(np.isfinite(b_coeffs_direct(state, 0.4, geom)))
+    assert orders != []
 
 
 def _chirp_state():
@@ -363,7 +422,8 @@ def test_direct_route_spends_node_budget(monkeypatch):
 
 
 def test_direct_route_refuses_phase_past_budget():
-    # the one limit on phase is _osc_panels' refusal, with its message
+    # the one limit on phase is _phase_within_budget's refusal, which the
+    # adaptive starts share, with its message
     geom = TrapGeometry.from_alpha(5e4)
     state = spectral.SpectralState(m=0, alpha=geom.alpha, coeffs=[1.0, 0.0])
     with pytest.raises(NumericError, match=r"total phase 1\.5e\+05 rad .*PANEL_BUDGET = 20000"):
@@ -730,16 +790,27 @@ def test_bessel_sign_alternates_at_zeros():
 
 
 def test_moment_tables_fall_back_when_estimate_misses(cold_memo, monkeypatch):
-    # a zero target cannot be met by any error estimate
+    # the 255-node level is sized for these tables, and one level short
+    # still meets the target; started on 15 nodes, the products climb the
+    # nested levels, each tabulated once, until their estimates meet it (at
+    # 127), with no adaptive call
+    assert spectral._rule_nodes(2.0 * _zeros(1, 8)[0][-1]) == 255
     on_rule = moment_tables(1, 8)
     spectral._moment_tables.cache_clear()
-    monkeypatch.setattr(spectral, "ABS_TOL", 0.0)
-    monkeypatch.setattr(spectral, "REL_TOL", 0.0)
+    monkeypatch.setattr(spectral, "_rule_nodes", lambda radians: 15)
     calls = _spy_integrate(monkeypatch)
-    adaptive = moment_tables(1, 8)
-    assert len(calls) == len(_MOMENTS) + 1  # one per quadrature, int s g' g' included
+    levels = []
+    real = spectral._tabulate
+
+    def spy(at, nodes):
+        levels.append(nodes)
+        return real(at, nodes)
+
+    monkeypatch.setattr(spectral, "_tabulate", spy)
+    climbed = moment_tables(1, 8)
+    assert calls == [] and levels == [15, 31, 63, 127]
     for name in ("A3", "A1", "Aneg1", "B0", "B2", "C1"):
-        assert np.max(np.abs(getattr(adaptive, name) - getattr(on_rule, name))) < 1e-12, name
+        assert np.max(np.abs(getattr(climbed, name) - getattr(on_rule, name))) < 1e-12, name
 
 
 def test_moment_tables_do_not_read_overlap_grid(cold_memo, monkeypatch):
@@ -884,8 +955,8 @@ def test_energy_ratio_static_is_one():
 
 
 def test_non_finite_coefficients_raise_numeric_error():
-    # a NaN coefficient gives a NaN error estimate on the rule; the adaptive
-    # fallback then refuses it instead of returning NaN
+    # a NaN coefficient gives a NaN error estimate on the rule, which the
+    # product refuses instead of returning NaN
     geom = TrapGeometry.from_alpha(0.7)
     coeffs = np.zeros(12, dtype=complex)
     coeffs[:2] = 1.0, math.nan
