@@ -47,7 +47,7 @@ from functools import partial
 import numpy as np
 
 from . import evolve, oracle, spectral
-from .quad import BudgetExceededError, integrate
+from .quad import integrate
 from .special import (
     DomainError,
     NumericError,
@@ -73,8 +73,8 @@ def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
-    if math.isnan(f):
-        return ""
+    if not math.isfinite(f):
+        raise NumericError(f"refusing to print the non-finite value {f}")
     return repr(f)
 
 
@@ -466,7 +466,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, TruncationError, BudgetExceededError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -2,11 +2,12 @@
 possibly oscillatory, possibly vector-valued integrands, and two fixed rule
 families over (0, 1) for callers that size and judge their own sums.
 
-`integrate` calls its integrand with a single 1-D array holding every
-abscissa of the current refinement wave, so array-natured integrands (Bessel
-rows, phase factors) are evaluated in one shot.  Refinement bisects every panel whose
-local error estimate exceeds its share of the target, which converges in few
-waves even for strongly oscillatory phases.
+`integrate` calls its integrand with 1-D arrays of abscissae, whole panels
+of the current refinement wave at most _SLICE_NODES at a time, so
+array-natured integrands (Bessel rows, phase factors) are evaluated in bulk.
+Refinement bisects every panel whose local error estimate exceeds its share
+of the target, which converges in few waves even for strongly oscillatory
+phases.
 
 Panels are open: no node ever lands on an interval endpoint, so integrable
 endpoint behavior (like the 1/rho coordinate singularity at the axis) needs
@@ -16,7 +17,8 @@ no special casing.
 weights, for callers that tabulate part of an integrand once and reuse it
 across many integrals.  `gauss_legendre` gives Gauss-Legendre rules over
 (0, 1) on a ladder of orders, for a caller that judges one order by the next
-and splits the interval itself past the largest.
+and splits the interval itself past the largest.  Such a sum meets
+`integrate`'s target (`_target`) in `integrate`'s slices (_SLICE_NODES).
 """
 
 from __future__ import annotations
@@ -30,11 +32,15 @@ from .special import NumericError
 
 __all__ = ["QuadResult", "BudgetExceededError", "integrate", "fejer2", "gauss_legendre"]
 
-# accuracy target of `integrate`, max(ABS_TOL, REL_TOL * max|component|), and
-# the most panels it may evaluate; all three are read at call time
+# accuracy target of every sum, max(ABS_TOL, REL_TOL * max|component|)
+# (`_target`), and the most panels `integrate` may evaluate; all three are
+# read at call time
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
 PANEL_BUDGET = 20000
+
+# the most abscissae one integrand call evaluates
+_SLICE_NODES = 2048
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss rule on the odd-indexed nodes.
@@ -69,51 +75,46 @@ class QuadResult:
     panels_used: int       # total panel evaluations spent
 
 
-class BudgetExceededError(RuntimeError):
-    """Panel budget ran out; `.result` holds the best estimate so far."""
+class BudgetExceededError(NumericError):
+    """A sum's budget ran out; `.result` holds the best estimate so far."""
 
     def __init__(self, message: str, result: QuadResult):
         super().__init__(message)
         self.result = result
 
 
-# cap on value-array elements evaluated per integrand call; vector-valued
-# integrands can otherwise demand panels * 15 * components in one allocation
-_CHUNK_ELEMS = 6_000_000
+def _target(err: float, value) -> float:
+    """max(ABS_TOL, REL_TOL * max|value|) for a sum `value` whose error
+    estimate is `err`; NumericError if `err` is NaN or infinite."""
+    if not np.isfinite(err):
+        raise NumericError(f"integrand is not finite: error estimate {err}")
+    return max(ABS_TOL, REL_TOL * float(np.max(np.abs(value))))
 
 
 def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     """Apply GK15 to each [lo_i, hi_i]; returns (kron, err) per panel.
 
-    Evaluation is chunked: a one-panel probe reveals the component count,
-    then the rest is processed in slices bounded by _CHUNK_ELEMS.
+    `f` is called once per slice of whole panels, at most _SLICE_NODES
+    abscissae each.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     pts = c[:, None] + h[:, None] * _NODES[None, :]
-    kron_out = None
-    err_out = np.empty(lo.size)
-    start, chunk = 0, 1
-    while start < pts.shape[0]:
-        stop = min(pts.shape[0], start + chunk)
-        sub = pts[start:stop]
+    step = _SLICE_NODES // _NODES.size
+    krons, errs = [], []
+    for a in range(0, lo.size, step):
+        sub = pts[a:a + step]
         vals = np.asarray(f(sub.ravel()))
         if vals.shape[0] != sub.size:
             raise ValueError("integrand must return one leading value per abscissa")
         vals = vals.reshape(sub.shape + vals.shape[1:])
-        hb = h[start:stop].reshape((stop - start,) + (1,) * (vals.ndim - 2))
+        hb = h[a:a + step].reshape((sub.shape[0],) + (1,) * (vals.ndim - 2))
         kron = hb * np.tensordot(_W_KRON, vals, axes=([0], [1]))
         gauss = hb * np.tensordot(_W_GAUSS, vals, axes=([0], [1]))
         diff = np.abs(kron - gauss)
-        err = diff.reshape(diff.shape[0], -1).max(axis=1)
-        if kron_out is None:
-            kron_out = np.empty((lo.size,) + kron.shape[1:], dtype=kron.dtype)
-            comps = int(np.prod(kron.shape[1:]))
-            chunk = max(1, _CHUNK_ELEMS // (15 * comps))
-        kron_out[start:stop] = kron
-        err_out[start:stop] = err
-        start = stop
-    return kron_out, err_out
+        krons.append(kron)
+        errs.append(diff.reshape(diff.shape[0], -1).max(axis=1))
+    return np.concatenate(krons), np.concatenate(errs)
 
 
 def _fejer2_weights(n: int) -> np.ndarray:
@@ -199,12 +200,13 @@ def integrate(f, a: float, b: float, initial_panels: int = 8) -> QuadResult:
     `f` maps a 1-D abscissa array of length N to an array whose leading axis
     has length N; trailing axes (if any) are integrated componentwise and the
     error target applies to the worst component.  Real and complex values are
-    both fine.
+    both fine.  `f` sees at most _SLICE_NODES abscissae per call.
 
-    The target and the panel budget are the module constants ABS_TOL,
-    REL_TOL and PANEL_BUDGET.  Raises BudgetExceededError (carrying the best
-    QuadResult) if PANEL_BUDGET panels are spent before the target is met,
-    NumericError on a NaN or infinite error estimate.
+    The target (`_target`, which every fixed-rule sum in `spectral` meets
+    too) and the panel budget read ABS_TOL, REL_TOL and PANEL_BUDGET.  Raises
+    BudgetExceededError (carrying the best QuadResult) if PANEL_BUDGET panels
+    are spent before the target is met, NumericError on a NaN or infinite
+    error estimate.
     """
     a, b = float(a), float(b)
     if not np.isfinite(a) or not np.isfinite(b):
@@ -221,10 +223,8 @@ def integrate(f, a: float, b: float, initial_panels: int = 8) -> QuadResult:
 
     while True:
         total = kron.sum(axis=0)
-        target = max(ABS_TOL, REL_TOL * float(np.max(np.abs(total))))
         total_err = float(err.sum())
-        if not np.isfinite(total_err):
-            raise NumericError(f"integrand is not finite: error estimate {total_err}")
+        target = _target(total_err, total)
         value = total if np.ndim(total) else complex(total) if np.iscomplexobj(kron) else float(total)
         if total_err <= target:
             return QuadResult(value=value, err_estimate=total_err, panels_used=used)

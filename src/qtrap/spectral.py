@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quad
-from .quad import ABS_TOL, REL_TOL, integrate
+from .quad import integrate
 from .special import DomainError, NumericError, bessel_j, bessel_zeros
 
 __all__ = [
@@ -99,7 +99,7 @@ XI_MIN = 0.02
 OP_KINDS = ("q0", "p0", "q0sq", "p0sq", "H")
 
 
-class TruncationError(RuntimeError):
+class TruncationError(NumericError):
     """The retained basis misses too much of the state's norm."""
 
     def __init__(self, message: str, deficit: float):
@@ -202,14 +202,14 @@ def _zero(m: int, n: int) -> float:
 
 # Radians of total phase per panel of `quad.PANEL_BUDGET` that
 # `_phase_within_budget` accepts, for every `_gram` product and adaptive start.
-# Measured at the budget of 20000, on 2 cores, while `energy_ratio_paths` still
-# fell back to adaptive quadrature: the largest phase that converged was 2.44e4
-# for `energy_ratio_paths` (m = 0, n = 1, xi = 2e4, 1.7 s) and 4e4 for a chirp
-# whose amplitude vanishes as (1 - s)^8 at the wall (11984 panels); at 3.04e4
-# and 3.65e4 `energy_ratio_paths` spent the budget in 1.1-1.2 s, and no
-# integrand tried converged at 5e4, so the limit of 1e5 keeps a factor of 2.
-# Past 1.3e4 every start is the 2048-panel cap, so these figures do not depend
-# on the radians per panel.
+# The adaptive references `overlap_I` and `coeffs_from_initial` set it: they
+# know their integrand only by a bound on its phase.  Measured by `integrate`
+# at the budget of 20000, on 2 cores: the m = 0, n = 1 overlap integrand
+# converged at 2.44e4 rad (1.7 s) and spent the budget at 3.04e4 and 3.65e4,
+# a chirp whose amplitude vanishes as (1 - s)^8 at the wall converged at 4e4
+# (11984 panels), and no integrand tried converged at 5e4, so the limit of 1e5
+# keeps a factor of 2.  Past 1.3e4 every start is the 2048-panel cap, so these
+# figures do not depend on the radians per panel.
 _RADIANS_PER_BUDGET_PANEL = 5.0
 
 # Total phase each panel of an adaptive start sees: half a period.  It serves
@@ -236,12 +236,12 @@ _DIRECT_SPARE_NODES = 16
 # its first 32.  Against a 3000-node rule, over m in {0, 1, 2, 5, 20}, n_max in
 # {2, 4, 8, 20, 60}, wall phases 0-900 rad and the A^{-1} table, the fewest
 # nodes meeting a tenth of `integrate`'s target were at most 31.3 past 1.4 rad
-# per node.  Levels up to 2047 nodes (1387 rad) are tabulated and cached; a
-# level past it is summed in slices of 2048 nodes with its blocks evaluated
+# per node.  Levels within one slice, 2047 nodes (1387 rad), are tabulated and
+# cached; a level past it is summed slice by slice with its blocks evaluated
 # there, never held whole (a level for 1e5 rad would hold 126 MB at n_max 60).
 _RADIANS_PER_NODE = 1.4
 _SPARE_NODES = 32
-_RULE_NODES_MAX = 2047
+_RULE_NODES_MAX = quad._SLICE_NODES - 1
 
 
 def _rule_nodes(radians: float) -> int:
@@ -416,22 +416,21 @@ def _gram(blocks: _Blocks, weight, right, left: int = 0, phase: float = 0.0) -> 
     columns, and the result is (columns of h_left, k); the weight is put on
     the narrow side, h_left^T (w right).  `phase` is the total phase the
     weight and the right factor carry.  The product is summed on each rule
-    of `blocks.rules(phase)` in turn, in slices of _RULE_NODES_MAX + 1 nodes
+    of `blocks.rules(phase)` in turn, in slices of quad._SLICE_NODES nodes
     (one for a tabulated rule), and the first whose largest component of
-    sum(w_err ...) meets `integrate`'s default target is returned.
-    NumericError up front on a phase past `_phase_within_budget` and on a
-    NaN or infinite estimate; BudgetExceededError, carrying the last sum, its
-    estimate and the rules summed (as `panels_used`), once PANEL_BUDGET * 15
-    nodes are spent.
+    sum(w_err ...) meets quad's target (`quad._target`, read at call time,
+    as `integrate` reads it) is returned.  NumericError up front on a phase
+    past `_phase_within_budget` and on a NaN or infinite estimate;
+    BudgetExceededError, carrying the last sum, its estimate and the rules
+    summed (as `panels_used`), once PANEL_BUDGET * 15 nodes are spent.
     """
     _phase_within_budget(phase + blocks.phase)
     budget = quad.PANEL_BUDGET * 15
-    slice_nodes = _RULE_NODES_MAX + 1
     spent = 0
     for rungs, rule in enumerate(blocks.rules(phase), 1):
         mat = est = 0.0
-        for a in range(0, rule.s.size, slice_nodes):
-            part = slice(a, a + slice_nodes)
+        for a in range(0, rule.s.size, quad._SLICE_NODES):
+            part = slice(a, a + quad._SLICE_NODES)
             s = rule.s[part]
             h = rule.tab or blocks.at(s)  # a tabulated rule is one slice
             lb = h[left].T
@@ -440,9 +439,7 @@ def _gram(blocks: _Blocks, weight, right, left: int = 0, phase: float = 0.0) -> 
             est = est + _real_matmul(lb, rule.w_err[part, None] * rb)
         spent += rule.s.size
         err = float(np.max(np.abs(est)))
-        if not math.isfinite(err):
-            raise NumericError(f"integrand is not finite: error estimate {err}")
-        target = max(ABS_TOL, REL_TOL * float(np.max(np.abs(mat))))
+        target = quad._target(err, mat)
         if err <= target:
             return mat
         if spent >= budget:

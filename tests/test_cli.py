@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtrap import cli, spectral
+from qtrap import cli, quad, spectral
 from qtrap.cli import EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from qtrap.special import bessel_zeros
 
@@ -85,6 +85,38 @@ def test_energy_unresolvable_phase_fails_fast(capsys):
     err = capsys.readouterr().err
     assert "total phase 1.203e+06 rad" in err and "PANEL_BUDGET" in err
     assert elapsed < 5.0
+
+
+def test_truncation_exits_numeric(capsys):
+    # a basis of 60 modes holds too little of (5, 2) at alpha-ratio 20: the
+    # guard's TruncationError is a numeric failure, and no row is printed
+    rc = main(["density-r", "--m", "5", "--n", "2", "--alpha-ratio", "20"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_NUMERIC and captured.out == ""
+    assert "norm deficit 3.048e-01" in captured.err
+
+
+def test_budget_exceeded_exits_numeric(monkeypatch, capsys):
+    def starved(*args):
+        raise quad.BudgetExceededError("node budget 1500 exhausted",
+                                       quad.QuadResult(value=0.0, err_estimate=1.0, panels_used=1))
+
+    monkeypatch.setattr(spectral, "energy_ratio_paths", starved)
+    rc = main(["energy", "--grid", "2", "--nmax", "8"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_NUMERIC and captured.out == ""
+    assert "node budget 1500 exhausted" in captured.err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_result_exits_numeric(monkeypatch, capsys, bad):
+    # a NaN or an infinity is refused, never printed as an empty field or
+    # as "inf"
+    monkeypatch.setattr(spectral, "energy_ratio_paths", lambda *args: (bad, 0.5))
+    rc = main(["energy", "--grid", "2", "--nmax", "8"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_NUMERIC and captured.out == ""
+    assert "non-finite value" in captured.err
 
 
 def test_moments_m0_blanks_inverse_column(capsys):

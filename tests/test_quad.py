@@ -157,12 +157,18 @@ def test_rel_tol_scaling(monkeypatch):
 
 
 def test_chunked_evaluation_matches_unchunked(monkeypatch):
+    sizes = []
+
     def f(s):
+        sizes.append(s.size)
         return np.cos(np.linspace(1.0, 4.0, 7)[None, :] * s[:, None])
 
     full = integrate(f, 0.0, 5.0, initial_panels=32)
-    monkeypatch.setattr(quad, "_CHUNK_ELEMS", 200)
+    monkeypatch.setattr(quad, "_SLICE_NODES", 50)
+    sizes.clear()
     tiny = integrate(f, 0.0, 5.0, initial_panels=32)
+    # whole panels, three to a slice of 50 nodes
+    assert max(sizes) == 45 and all(n % 15 == 0 for n in sizes)
     assert_allclose(tiny.value, full.value, rtol=1e-13, atol=1e-15)
 
 

@@ -429,6 +429,19 @@ def test_pfq_trivial_and_domain():
         pfq((1.0,), (-3.0, 2.0), 1.0)
 
 
+@pytest.mark.parametrize("build, error, fragment", [
+    (lambda: special.BesselZeroTable(0, []), DomainError, "at least one zero"),
+    (lambda: special.BesselZeroTable(0, bessel_zeros(0, 2).zeros[::-1]), NumericError,
+     "not strictly increasing"),
+    (lambda: special.BesselZeroTable(0, [2.5]), NumericError, "residual check"),
+    (lambda: pfq((1.0,) * 4, (2.0,), -1.0), DomainError, "p=4, q=1"),
+    (lambda: pfq((1.0,), (2.0,) * 5, -1.0), DomainError, "p=1, q=5"),
+], ids=["empty-table", "decreasing-table", "non-zero-table", "pfq-p4", "pfq-q5"])
+def test_malformed_input_raises_typed_error(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()
+
+
 def _peak_bits(a, b, z):
     """log2 of the largest term of pFq(a; b; z), z < 0, from log-gamma."""
     k = np.arange(int(4 * math.sqrt(-z)) + 10, dtype=float)

@@ -237,8 +237,8 @@ def test_overlap_falls_back_when_grid_estimate_misses(monkeypatch):
     geom = TrapGeometry.from_alpha(1.1)
     on_grid = spectral._i_matrix(1, 1.5, geom.alpha, 8, np.eye(8))
     monkeypatch.setattr(quad, "PANEL_BUDGET", 100)
-    monkeypatch.setattr(spectral, "ABS_TOL", 0.0)
-    monkeypatch.setattr(spectral, "REL_TOL", 0.0)
+    monkeypatch.setattr(quad, "ABS_TOL", 0.0)
+    monkeypatch.setattr(quad, "REL_TOL", 0.0)
     calls = _spy_integrate(monkeypatch)
     levels = _spy_levels(monkeypatch)
     with pytest.raises(quad.BudgetExceededError, match="node budget 1500 exhausted") as info:
@@ -378,13 +378,13 @@ def test_direct_coefficients_do_not_read_overlap_rule(monkeypatch):
     assert orders != []
 
 
-def _chirp_state():
-    # a wall chirp of 72 rad against Bessel blocks of 2 x_04 = 23 rad: the
-    # fewest Gauss-Legendre nodes meeting the target, 48, lie between the
-    # first two rungs
-    geom = TrapGeometry.from_alpha(24.0)
+def _chirp_state(alpha=24.0, xi=3.0):
+    # a wall chirp of alpha xi rad, 72 by default, against Bessel blocks of
+    # 2 x_04 = 23 rad: at 72 the fewest Gauss-Legendre nodes meeting the
+    # target, 48, lie between the first two rungs
+    geom = TrapGeometry.from_alpha(alpha)
     state = spectral.SpectralState(m=0, alpha=geom.alpha, coeffs=[0.5, 0.5j, -0.5, 0.5])
-    return state, 2.0 / geom.u, geom  # xi = 3
+    return state, (xi - 1.0) / geom.u, geom
 
 
 def test_direct_route_climbs_on_a_missed_estimate(monkeypatch):
@@ -414,11 +414,67 @@ def test_direct_route_spends_node_budget(monkeypatch):
     # nodes are spent, and the error carries its last estimate
     state, t, geom = _chirp_state()
     monkeypatch.setattr(quad, "PANEL_BUDGET", 100)
-    monkeypatch.setattr(spectral, "ABS_TOL", 0.0)
-    monkeypatch.setattr(spectral, "REL_TOL", 0.0)
+    monkeypatch.setattr(quad, "ABS_TOL", 0.0)
+    monkeypatch.setattr(quad, "REL_TOL", 0.0)
     with pytest.raises(quad.BudgetExceededError, match="node budget 1500 exhausted") as info:
         b_coeffs_direct(state, t, geom)
     assert 0.0 < info.value.result.err_estimate < 1e-12
+
+
+def _spy_rungs(monkeypatch):
+    """The direct route's rungs (panels, n), in the order they are summed."""
+    rungs = []
+    real = spectral._direct_rungs
+
+    def spy(wall, bessel):
+        for rung in real(wall, bessel):
+            rungs.append(rung)
+            yield rung
+
+    monkeypatch.setattr(spectral, "_direct_rungs", spy)
+    return rungs
+
+
+def test_direct_route_on_many_panels(monkeypatch):
+    # a wall chirp of 6000 rad: no order within the cap resolves it on one
+    # panel, so the first rung takes 11
+    state, t, geom = _chirp_state(300.0, 20.0)
+    series = b_coeffs(state, t, geom)
+    rungs = _spy_rungs(monkeypatch)
+    direct = b_coeffs_direct(state, t, geom)
+    assert rungs == [(11, 480)]
+    assert np.max(np.abs(series - direct)) < 1e-8
+
+
+def test_direct_route_adds_panels_past_the_cap(monkeypatch):
+    # under a target no estimate meets, each rung past the first adds a
+    # panel at the capped orders (480, 512); a budget of 30000 nodes is spent
+    # on the third rung (10912 + 11904 + 12896 nodes)
+    state, t, geom = _chirp_state(300.0, 20.0)
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 2000)
+    monkeypatch.setattr(quad, "ABS_TOL", 0.0)
+    monkeypatch.setattr(quad, "REL_TOL", 0.0)
+    rungs = _spy_rungs(monkeypatch)
+    with pytest.raises(quad.BudgetExceededError, match="node budget 30000 exhausted") as info:
+        b_coeffs_direct(state, t, geom)
+    assert rungs == [(11, 480), (12, 480), (13, 480)]
+    assert info.value.result.panels_used == 3
+
+
+@pytest.mark.parametrize("product", [
+    lambda: spectral._moment_tables.__wrapped__(1, 8),
+    lambda: spectral._mode_coeffs(lambda rho: np.sin(np.pi * rho), 1, 0.3,
+                                  TrapGeometry.from_alpha(1.1), 8),
+], ids=["moments", "projection"])
+def test_gram_products_read_quads_target_at_call_time(monkeypatch, product):
+    # quad's target is the only one: zeroed there, a product climbs its
+    # ladder until the node budget is spent (the overlaps and the direct
+    # route are starved the same way above)
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 100)
+    monkeypatch.setattr(quad, "ABS_TOL", 0.0)
+    monkeypatch.setattr(quad, "REL_TOL", 0.0)
+    with pytest.raises(quad.BudgetExceededError, match="node budget 1500 exhausted"):
+        product()
 
 
 def test_direct_route_refuses_phase_past_budget():
