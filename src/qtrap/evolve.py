@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quad
 # nothing here integrates; `qtrap.evolve.integrate` stays bound because the
 # benchmark's layer tracing (benchmarks/tracing.py) pins that name
 from .quad import integrate  # noqa: F401
-from .special import DomainError, bessel_j
+from .special import DomainError, NumericError, bessel_j
 from .spectral import (
     N_MAX_DEFAULT,
     SpectralState,
@@ -257,33 +258,66 @@ def propagator(m_list, r, t: float, r_prime, t_prime: float, geom: TrapGeometry,
     return complex(total)
 
 
+# The kernel's angular rule turns its second set of angles by the golden
+# section of the spacing: an irrational turn, so no frequency aliased onto m
+# lands in phase on both sets.
+_ANGLE_TURN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _angular_part(psi_func, rho_p: np.ndarray, m: int, phi: float,
+                  n: int, n_cap: int) -> np.ndarray:
+    """(1/2 pi) int psi_func(rho_p, phi') c_m cos(m (phi - phi')) dphi', with
+    c_0 = 1 and c_m = 2 past it, at each radius of rho_p.
+
+    Each level samples n angles and the same n turned by `_ANGLE_TURN` of
+    the spacing in one `psi_func` call and sums the periodic trapezoid rule
+    on both; once their difference meets quad's target (`quad._target`) it
+    returns their mean, else it doubles n.  A frequency that n angles alias
+    onto m enters the two sums with different phases, so the difference
+    sees it.  NumericError past `n_cap` angles or on a non-finite source.
+    """
+    while n <= n_cap:
+        grid = 2.0 * math.pi * np.arange(n) / n
+        phis = np.concatenate([grid, grid + 2.0 * math.pi * _ANGLE_TURN / n])
+        w = (1.0 if m == 0 else 2.0) * np.cos(m * (phi - phis)) / n
+        vals = psi_func(rho_p[:, None], phis[None, :])
+        plain, turned = vals[:, :n] @ w[:n], vals[:, n:] @ w[n:]
+        err = float(np.max(np.abs(plain - turned)))
+        mean = 0.5 * (plain + turned)
+        if err <= quad._target(err, mean):
+            return mean
+        n *= 2
+    raise NumericError(f"the kernel's angular rule missed its target at {n_cap} angles "
+                       f"(estimate {err:.3e}, m = {m})")
+
+
 def propagate_through_kernel(m_list, r, t: float, psi_func, t_prime: float,
                              geom: TrapGeometry, n_max: int = N_MAX_DEFAULT) -> complex:
     """Apply the kernel to a wave at t': int K psi(rho', phi', t') rho' drho' dphi'.
 
     `psi_func(rho', phi')` evaluates the source wave (arrays in, array out).
-    The periodic trapezoid rule on max(64, 2 max(m_list) + 1) angles, exact
-    for the frequencies 0 and 2m, splits off the part of each m (both angular
-    branches for m > 0, as in `propagator`); that part is projected onto the
-    modes at t' on the overlap rule the wall phase at t' needs, sampled in
-    one call on its radii (in slices of 2048 past the tabulated levels) and
-    climbing its nested levels until their estimate meets the target
-    (`spectral._mode_coeffs`), and evaluated with `modes` at t.  A point on
-    or past the wall gets `modes`' zero row, so the result there is zero.
+    A self-judged periodic trapezoid rule (`_angular_part`) splits off the
+    part of each m (both angular branches for m > 0, as in `propagator`):
+    from max(8, 2 max(m_list) + 2) angles, which are exact for the
+    frequencies 0 and 2m of an exact mode, it doubles the angles until two
+    rules turned against each other agree to quad's target, and raises
+    NumericError past 4 max(64, 2 max(m_list) + 1).  That part is projected
+    onto the modes at t' on the overlap rule the wall phase at t' needs,
+    sampled in one call on its radii (in slices of 2048 past the tabulated
+    levels) and climbing its nested levels until their estimate meets the
+    target (`spectral._mode_coeffs`), and evaluated with `modes` at t.  A
+    point on or past the wall gets `modes`' zero row, so the result there
+    is zero.
     """
     m_list = _check_m_list(m_list)
     rho, phi = _check_point(*r)
     sig = rho / geom.L(t)
-    n_phi = max(64, 2 * max(m_list) + 1)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    m_hi = max(m_list)
+    n0, n_cap = max(8, 2 * m_hi + 2), 4 * max(64, 2 * m_hi + 1)
     total = 0.0 + 0.0j
     for m in m_list:
-        w = (1.0 if m == 0 else 2.0) * np.cos(m * (phi - phis)) / n_phi
-
-        def ang_m(rho_p):
-            return psi_func(rho_p[:, None], phis[None, :]) @ w
-
-        c = _mode_coeffs(ang_m, m, t_prime, geom, n_max)
+        c = _mode_coeffs(lambda rho_p: _angular_part(psi_func, rho_p, m, phi, n0, n_cap),
+                         m, t_prime, geom, n_max)
         total += modes(m, [sig], t, geom, n_max)[0] @ c
     return complex(total)
 

@@ -49,12 +49,14 @@ references integrate by adaptive Gauss-Kronrod, from half a period per panel
 single overlap `overlap_I`, which the rule's tests hold the products to.
 
 Operator matrix elements in that moving basis are elementary in the zeros
-alone (`_zero_blocks`, the Lommel integrals).  The six Bessel moment
-integrals of `moment_tables`, products on a rule of their own with the J and
-x J' blocks, are the quadrature reference these and the oracle's closed
-forms, exact hypergeometric sums that share neither route's numerics, are
-held against; no operator reads them.  Zero tables, overlap rules and
-moment tables are each built once per key by a `functools.cache` builder.
+alone (`_zero_blocks`, the Lommel integrals); the spreads and the energy
+ratio's closed route read one diagonal element from one zero (`_diag_sq`).
+The six Bessel moment integrals of `moment_tables`, products on a rule of
+their own with the J and x J' blocks, are the quadrature reference these and
+the oracle's closed forms, exact hypergeometric sums that share neither
+route's numerics, are held against; no operator reads them.  Zero tables,
+overlap rules and moment tables are each built once per key by a
+`functools.cache` builder.
 """
 
 from __future__ import annotations
@@ -154,12 +156,14 @@ class TrapGeometry:
         Every time must be finite and nonnegative and keep xi >= XI_MIN.
         """
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
+        # ndarray methods, not np.any / np.all: a read checks scalar times by
+        # the hundred, and the functions cost twice as much per call
+        if (t < 0.0).any():
             raise DomainError(f"time must be nonnegative, got {t.min()}")
         val = 1.0 + self.u * t / self.a
-        if not np.all(np.isfinite(val)):
+        if not np.isfinite(val).all():
             raise DomainError("time must be finite and give a finite expansion factor")
-        if np.any(val < XI_MIN):
+        if (val < XI_MIN).any():
             raise DomainError(
                 f"wall compressed to xi = {val.min():.4g} < {XI_MIN}; beyond supported range"
             )
@@ -747,6 +751,12 @@ def _moment_tables(m: int, n_max: int) -> MomentTable:
 # --------------------------------------------------------------------------
 # Matrix elements and expectation values
 
+def _a3_diag(m: int, xsq):
+    """The diagonal A3_nn = (x^2 + 2 (m^2 - 1)) / (6 x^2) of `_zero_blocks`,
+    from the squared zeros xsq (one or an array)."""
+    return (xsq + 2.0 * (m * m - 1)) / (6.0 * xsq)
+
+
 def _zero_blocks(m: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(A1, A3, B2, K) / (|J_{m+1}(x_i)| |J_{m+1}(x_j)|) from the zeros x_i alone.
 
@@ -754,7 +764,7 @@ def _zero_blocks(m: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     integrals (Watson, Theory of Bessel Functions, 5.11), with s_i = (-1)^(i+1)
     the sign of J_{m+1}(x_i): A1 = I/2, K = A1 diag(x^2), B2 = -A1 +
     ((x_j^2 - x_i^2)/4) A3, and A3 = 4 x_i x_j s_i s_j / (x_i^2 - x_j^2)^2 off
-    the diagonal, (x^2 + 2 (m^2 - 1)) / (6 x^2) on it.
+    the diagonal, (x^2 + 2 (m^2 - 1)) / (6 x^2) on it (`_a3_diag`).
     """
     x = _zeros_cached(m, n_max)[0]
     xsq = x * x
@@ -762,7 +772,7 @@ def _zero_blocks(m: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     gap = np.subtract.outer(xsq, xsq)
     np.fill_diagonal(gap, 1.0)
     a3 = 4.0 * np.outer(sx, sx) / gap ** 2
-    np.fill_diagonal(a3, (xsq + 2.0 * (m * m - 1)) / (6.0 * xsq))
+    np.fill_diagonal(a3, _a3_diag(m, xsq))
     np.fill_diagonal(gap, 0.0)
     a1 = 0.5 * np.eye(n_max)
     return a1, a3, -a1 - 0.25 * gap * a3, np.diag(0.5 * xsq)
@@ -789,6 +799,20 @@ def _op_matrix(op_kind: str, m: int, t: float, geom: TrapGeometry,
     if op_kind == "p0sq":
         return p0sq
     return p0sq / (2.0 * math.pi * geom.mu)  # H
+
+
+def _diag_sq(m: int, n: int, t: float, geom: TrapGeometry) -> tuple[float, float]:
+    """The diagonal elements (q0sq, p0sq) of mode (m, n) at time t, from the
+    zero x = x_mn alone: `_op_matrix(kind, ...)[n - 1, n - 1].real` bit for
+    bit, without its n x n matrices.  On `_zero_blocks`' diagonal the phase
+    is 1, A3_nn is `_a3_diag`, K_nn = x^2 / 2 and (A1 + B2)_nn = 0."""
+    x = _zero(m, n)
+    xsq = x * x
+    a3 = _a3_diag(m, xsq)
+    xi_t, alpha = geom.xi(t), geom.alpha
+    q0sq = (geom.a * xi_t) ** 2 * 2.0 * math.pi * a3
+    p0sq = (geom.hbar / geom.a) ** 2 * 2.0 * math.pi * (4.0 * alpha ** 2 * a3 + 0.5 * xsq / xi_t ** 2)
+    return q0sq, p0sq
 
 
 def matrix_element(op_kind: str, m: int, n_row: int, n_col: int, t: float,
@@ -832,13 +856,14 @@ def uncertainties(m: int, n: int, t: float, geom: TrapGeometry,
 
     with J = J_{m+1}(x_mn) and K_nn the radial Dirichlet form.  dq grows
     exactly like xi while the momentum spread mixes the drift term
-    4 alpha^2 A3 with the shrinking internal term K/xi^2.  `tables`, if
-    given, must be for angular index m and hold n; nothing is read from it.
+    4 alpha^2 A3 with the shrinking internal term K/xi^2.  Both elements
+    come from x_mn alone (`_diag_sq`), equal to the diagonal of the full
+    operator matrices bit for bit.  `tables`, if given, must be for angular
+    index m and hold n; nothing is read from it.
     """
     if tables is not None and (tables.m != m or tables.n_max < n):
         raise DomainError(f"tables hold m={tables.m}, n <= {tables.n_max}; asked m={m}, n={n}")
-    dq, dp = (math.sqrt(_op_matrix(kind, m, t, geom, n)[n - 1, n - 1].real)
-              for kind in ("q0sq", "p0sq"))
+    dq, dp = (math.sqrt(v) for v in _diag_sq(m, n, t, geom))
     return dq, dp, dq * dp
 
 
@@ -858,11 +883,16 @@ def energy_ratio_paths(m: int, n: int, t: float, geom: TrapGeometry,
         ratio = (1/xi^2) sum_n' (x_n'/J_n')^2 |I_{n n'}(t)|^2
                 / sum_n' (x_n'/J_n')^2 |I_{n n'}(0)|^2.
 
-    Route 2 is the closed diagonal form H_nn(t) / H_nn(0),
+    Its populations at t, 4 |I_{n n'}(t)|^2 / (J_n^2 J_n'^2), must hold the
+    state's norm: a row the n_max modes truncate raises TruncationError
+    (`_deficit_guard`) instead of a ratio.
+
+    Route 2 is the closed diagonal form H_nn(t) / H_nn(0) = p0sq_nn(t) /
+    p0sq_nn(0),
 
         ratio = (4 alpha^2 A3_nn + K_nn / xi^2) / (4 alpha^2 A3_nn + K_nn),
 
-    on the zeros alone (`_zero_blocks`), so the routes share no numerics.
+    on the zero x_mn alone (`_diag_sq`), so the routes share no numerics.
     """
     if n < 1 or n > n_max:
         raise DomainError(f"need 1 <= n <= n_max, got n={n}, n_max={n_max}")
@@ -872,10 +902,11 @@ def energy_ratio_paths(m: int, n: int, t: float, geom: TrapGeometry,
     w = (zeros / absj) ** 2
     e_n = np.eye(1, n_max, n - 1)[0]
     row_t, row_0 = (_i_matrix(m, xi, alpha, n_max, e_n) for xi in (xi_t, 1.0))
+    _deficit_guard(2.0 * row_t / (absj[n - 1] * absj), f"mode (m={m}, n={n}) at xi = {xi_t:.6g}")
     isum = float(np.sum(w * np.abs(row_t) ** 2) / np.sum(w * np.abs(row_0) ** 2) / xi_t ** 2)
 
-    h_t, h_0 = (_op_matrix("H", m, s, geom, n)[n - 1, n - 1].real for s in (t, 0.0))
-    return isum, float(h_t / h_0)
+    p_t, p_0 = (_diag_sq(m, n, s, geom)[1] for s in (t, 0.0))
+    return isum, p_t / p_0
 
 
 def energy_ratio(m: int, n: int, t: float, geom: TrapGeometry,

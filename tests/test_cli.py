@@ -96,6 +96,21 @@ def test_truncation_exits_numeric(capsys):
     assert "norm deficit 3.048e-01" in captured.err
 
 
+@pytest.mark.parametrize("argv, deficit", [
+    # route 1's row at t misses 5.0e-2 of the norm: the routes were 13% apart
+    (["--m", "0", "--n", "2", "--alpha-ratio", "20", "--xi", "2"], "at xi = 2: norm deficit 5.049e-02"),
+    # 3.6e4 rad, still summed on the rule ladder, then refused: the 60 modes
+    # hold none of the row at xi = 3e4
+    (["--m", "0", "--n", "1", "--alpha-ratio", "1", "--xi", "3e4"],
+     "at xi = 30000: norm deficit 1.000e+00"),
+], ids=["alpha-ratio-20", "xi-3e4"])
+def test_energy_refuses_truncated_route_1(capsys, argv, deficit):
+    rc = main(["energy", "--grid", "2", *argv])
+    captured = capsys.readouterr()
+    assert rc == EXIT_NUMERIC and captured.out == ""
+    assert deficit in captured.err
+
+
 def test_budget_exceeded_exits_numeric(monkeypatch, capsys):
     def starved(*args):
         raise quad.BudgetExceededError("node budget 1500 exhausted",

@@ -198,8 +198,8 @@ def test_kernel_checks_rho_before_projecting(monkeypatch):
 
 
 def test_kernel_rejects_non_finite_source():
-    # a NaN wave gives a NaN error estimate on the rule, which the product
-    # refuses instead of returning NaN
+    # a NaN wave gives a NaN error estimate on the angular rule, which quad's
+    # target refuses instead of returning NaN
     geom = TrapGeometry.from_alpha(1.2)
 
     def src(rho_p, phi_p):
@@ -247,8 +247,8 @@ def test_kernel_advances_exact_mode():
 
 
 def test_kernel_resolves_high_angular_index():
-    # 2m + 1 = 65 angles at m = 32: 64 would alias the frequency 2m onto the
-    # constant term and double the result
+    # the angular rule starts on 2m + 2 = 66 angles at m = 32: 64 would alias
+    # the frequency 2m onto the constant term and double the result
     geom = TrapGeometry.from_alpha(1.2)
     t_src, t_dst = 0.1, 0.4
     target = (0.85 * geom.L(t_dst), 0.0)  # near the peak of the n = 1 mode
@@ -260,6 +260,44 @@ def test_kernel_resolves_high_angular_index():
     direct = psi_exact(32, 1, target[0], target[1], t_dst, geom)
     assert abs(direct) > 0.1
     assert abs(via_kernel - direct) < 1e-10
+
+
+def _angle_spy(src):
+    """`src` and the list of angle counts each call of it is sampled on."""
+    counts = []
+
+    def spy(rho, phi):
+        counts.append(np.shape(phi)[-1])
+        return src(rho, phi)
+
+    return spy, counts
+
+
+def test_kernel_angular_rule_climbs_past_an_alias():
+    # m_list [0] starts on 8 angles, where the m = 16 component aliases onto
+    # m = 0; so it does on 16, and a check of 16 angles against 8 would pass
+    # the wrong answer.  The turned angles see the alias: the rule climbs to
+    # 32 angles, which resolve it, and drops the m = 16 part
+    geom = TrapGeometry.from_alpha(1.2)
+    t_src, t_dst = 0.1, 0.4
+    target = (0.55, 1.3)
+    src, counts = _angle_spy(lambda rho, phi: psi_exact(0, 1, rho, phi, t_src, geom)
+                             + psi_exact(16, 1, rho, phi, t_src, geom))
+    via_kernel = propagate_through_kernel([0], target, t_dst, src, t_src, geom)
+    assert abs(via_kernel - psi_exact(0, 1, target[0], target[1], t_dst, geom)) < 1e-10
+    # each call samples n angles and n turned: 8, 16 and 32 of each
+    assert counts == [16, 32, 64]
+
+
+def test_kernel_angular_rule_stops_at_its_cap():
+    # a component at frequency 256 aliases onto m = 0 at every level up to
+    # 4 * 64 = 256 angles; past that the rule refuses instead of doubling on
+    geom = TrapGeometry.from_alpha(1.2)
+    src, counts = _angle_spy(lambda rho, phi: psi_exact(0, 1, rho, phi, 0.1, geom)
+                             * (1.0 + np.exp(256j * phi)))
+    with pytest.raises(NumericError, match="angular rule missed its target at 256 angles"):
+        propagate_through_kernel([0], (0.55, 1.3), 0.4, src, 0.1, geom)
+    assert counts == [16, 32, 64, 128, 256, 512]
 
 
 def test_kernel_sums_angular_indices():
@@ -325,18 +363,19 @@ def _spy(monkeypatch, name):
 
 @pytest.mark.parametrize("m", [0, 5])
 def test_kernel_projects_on_overlap_rule(m, monkeypatch):
-    # an exact-mode source is resolved on the tabulated rule: no adaptive call
+    # an exact-mode source is resolved on the tabulated rule, with no
+    # adaptive call, and on the angular rule's first level: max(8, 2m + 2)
+    # angles are exact for its frequencies 0 and 2m, so no radius is sampled
+    # on more than twice that
     geom = TrapGeometry.from_alpha(-0.5 * _x(m, 1))
     t = -0.5 / geom.u  # xi = 0.5
     target = (0.4 * geom.L(t), 0.7)
-
-    def src(rho, phi):
-        return psi_exact(m, 1, rho, phi, 0.0, geom)
-
+    src, counts = _angle_spy(lambda rho, phi: psi_exact(m, 1, rho, phi, 0.0, geom))
     adaptive = _spy(monkeypatch, "integrate")
     via_kernel = propagate_through_kernel([m], target, t, src, 0.0, geom)
     assert adaptive == []
     assert abs(via_kernel - psi_exact(m, 1, target[0], target[1], t, geom)) < 1e-10
+    assert counts and max(counts) <= 2 * max(8, 2 * m + 2)
 
 
 def test_kernel_read_bessel_points(monkeypatch):
@@ -388,7 +427,9 @@ def test_kernel_falls_back_past_rule_headroom(monkeypatch):
 
 def test_kernel_memory():
     # verify's kernel check: a 60-mode source at m = 0, sampled in one call
-    # per read on all 1023 nodes of the rule x 64 angles (3.8 MB traced peak)
+    # per read on all 1023 nodes of the rule x 16 angles, 8 of them turned;
+    # the source's 1023 x 60 mode block sets the traced peak (3.8 MB, as it
+    # did on 64 angles)
     geom = TrapGeometry.from_alpha(1.2)
     state = coeffs_from_eigenstate(0, 1, geom)
     radii = []

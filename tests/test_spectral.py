@@ -107,6 +107,21 @@ def test_geometry_accepts_time_arrays():
         geom.xi(np.array([0.1, 0.99, 0.3]))
 
 
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_xi_messages_for_scalar_and_array_times(shape):
+    # the three refusals keep their messages whether t is one time or many
+    def times(t):
+        return t if shape == "scalar" else np.array([0.1, t, 0.2])
+
+    expanding, contracting = TrapGeometry(a=1.0, u=1.0), TrapGeometry(a=1.0, u=-1.0)
+    with pytest.raises(DomainError, match="^time must be nonnegative, got -0.5$"):
+        expanding.xi(times(-0.5))
+    with pytest.raises(DomainError, match="^time must be finite and give a finite expansion factor$"):
+        expanding.xi(times(math.nan))
+    with pytest.raises(DomainError, match=r"^wall compressed to xi = 0.001 < 0.02; beyond supported range$"):
+        contracting.xi(times(0.999))
+
+
 def test_tau_closed_form():
     # hbar t / (2 mu a^2 xi) equals (1 - 1/xi)/(4 alpha) for a moving wall
     geom = TrapGeometry(a=1.3, u=0.7, hbar=1.0, mu=2.0)
@@ -338,14 +353,19 @@ def test_overlap_products_memory():
 def test_overlap_products_past_the_tables_memory(monkeypatch):
     # a wall phase of 6000 rad takes a level of 16383 nodes at n_max 60,
     # whose block alone would hold 7.9 MB: it is summed in slices of 2048
-    # nodes, and neither it nor a (nodes x n_max x k) integrand is held
+    # nodes, and neither it nor a (nodes x n_max x k) integrand is held.
+    # The 60 modes hold almost none of the row's norm at t, so route 1 sums
+    # both rows and then refuses them
     geom = TrapGeometry.from_alpha(3000.0)
     t = 1.0 / geom.u  # xi = 2
-    energy_ratio_paths(0, 1, t, geom)
+    deficit = "at xi = 2: norm deficit 9.991e-01"
+    with pytest.raises(TruncationError, match=deficit):
+        energy_ratio_paths(0, 1, t, geom)
     calls = _spy_integrate(monkeypatch)
     tracemalloc.start()
     try:
-        energy_ratio_paths(0, 1, t, geom)
+        with pytest.raises(TruncationError, match=deficit):
+            energy_ratio_paths(0, 1, t, geom)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -919,6 +939,19 @@ def test_operator_paths_read_no_quadrature(monkeypatch):
     h = matrix_element("H", 1, 2, 2, 0.0, static)
     assert_allclose(h.real, static.energy(1, 2), rtol=1e-14)
     assert expectation("q0sq", state, t, geom) > 0.0
+
+
+@pytest.mark.parametrize("alpha", [-3.0, 0.0, 0.4, 7.0])
+@pytest.mark.parametrize("n", [1, 7, 20])
+@pytest.mark.parametrize("m", [0, 1, 5, 20, 50])
+def test_diagonal_spreads_equal_the_operator_diagonal(m, n, alpha):
+    # the spreads and route 2 read q0sq and p0sq from x_mn alone: bit for bit
+    # the diagonal of the full operator matrices, at xi down to 0.04
+    geom = TrapGeometry.from_alpha(alpha)
+    for t in (0.0, 0.013, 0.1, 0.16) if alpha < 0.0 else (0.0, 0.013, 0.37, 2.5):
+        q0sq, p0sq = spectral._diag_sq(m, n, t, geom)
+        assert q0sq == spectral._op_matrix("q0sq", m, t, geom, n)[n - 1, n - 1].real
+        assert p0sq == spectral._op_matrix("p0sq", m, t, geom, n)[n - 1, n - 1].real
 
 
 def test_uncertainties_validate_tables_argument():
