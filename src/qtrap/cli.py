@@ -320,7 +320,7 @@ def _oracle_m0_c1() -> float:
         def f(s, x=x):
             return s * (x * bessel_j_prime(0, x * s)) ** 2
 
-        quad_val = -float(integrate(f, 0.0, 1.0, initial_panels=max(8, int(x))).value)
+        quad_val = -float(integrate(f, 0.0, 1.0, radians=2.0 * x).value)
         worst = max(worst, abs(oracle.c1_closed(0, n).value - quad_val))
     return worst
 

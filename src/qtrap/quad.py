@@ -1,30 +1,34 @@
-"""Quadrature on a finite interval: adaptive Gauss-Kronrod for smooth,
-possibly oscillatory, possibly vector-valued integrands, and two fixed rule
-families over (0, 1) for callers that size and judge their own sums.
+"""Quadrature on a finite interval: one ladder of Gauss-Legendre rules for
+smooth, possibly oscillatory, possibly vector-valued integrands, and the
+nested levels of Fejer's second rule over (0, 1) for callers that tabulate
+part of an integrand.
 
-`integrate` calls its integrand with 1-D arrays of abscissae, whole panels
-of the current refinement wave at most _SLICE_NODES at a time, so
-array-natured integrands (Bessel rows, phase factors) are evaluated in bulk.
-Refinement bisects every panel whose local error estimate exceeds its share
-of the target, which converges in few waves even for strongly oscillatory
-phases.
+Every sum climbs a ladder of rules (`_Rule`), coarsest first, and returns
+the first whose own error estimate meets the target (`_target`); one loop
+(`_ladder`) does the climbing, the slicing (_SLICE_NODES abscissae per
+integrand call, so array-natured integrands such as Bessel rows and phase
+factors are evaluated in bulk) and the budgeting for every driver.
+`integrate` climbs the Gauss-Legendre ladder (`_gauss_rules`): orders n and
+n + 32 on equal panels, judged by their difference, from the first rung that
+resolves a bound on the integrand's phase.  `spectral`'s products of Bessel
+blocks climb that ladder too, or the Fejer levels.
 
-Panels are open: no node ever lands on an interval endpoint, so integrable
-endpoint behavior (like the 1/rho coordinate singularity at the axis) needs
-no special casing.
+Every rule is open: no node ever lands on an interval endpoint, so
+integrable endpoint behavior (like the 1/rho coordinate singularity at the
+axis) needs no special casing.
 
 `fejer2` gives Fejer's second rule over (0, 1), with its nested error
-weights, for callers that tabulate part of an integrand once and reuse it
-across many integrals.  `gauss_legendre` gives Gauss-Legendre rules over
-(0, 1) on a ladder of orders, for a caller that judges one order by the next
-and splits the interval itself past the largest.  Such a sum meets
-`integrate`'s target (`_target`) in `integrate`'s slices (_SLICE_NODES).
+weights, and `gauss_legendre` the Gauss-Legendre rules of the ladder's
+orders over (0, 1).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +37,8 @@ from .special import NumericError
 __all__ = ["QuadResult", "BudgetExceededError", "integrate", "fejer2", "gauss_legendre"]
 
 # accuracy target of every sum, max(ABS_TOL, REL_TOL * max|component|)
-# (`_target`), and the most panels `integrate` may evaluate; all three are
-# read at call time
+# (`_target`), and the budget of every sum, 15 * PANEL_BUDGET nodes; all
+# three are read at call time
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
 PANEL_BUDGET = 20000
@@ -42,37 +46,25 @@ PANEL_BUDGET = 20000
 # the most abscissae one integrand call evaluates
 _SLICE_NODES = 2048
 
-# 15-point Kronrod abscissae (positive half) and weights, with the embedded
-# 7-point Gauss rule on the odd-indexed nodes.
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
-
-# full 15-node layout: -x0 .. -x6, 0, +x6 .. +x0
-_NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
-_W_KRON = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
-_W_GAUSS = np.zeros(15)
-_W_GAUSS[1:7:2] = _WG[:3]
-_W_GAUSS[7] = _WG[3]
-_W_GAUSS[9:15:2] = _WG[2::-1]
+# Radians of phase per panel of PANEL_BUDGET that `_phase_within_budget`
+# accepts for every sum: a `spectral` product's total phase, or `integrate`'s
+# bound on its integrand's peak phase rate times the interval.  At the budget
+# of 20000 (300000 nodes), the limit of 1e5 rad starts an evenly turning
+# phase on 90 panels at orders 480 and 512 (89280 nodes) and leaves it three
+# rungs more.  Measured by `integrate` (2 cores, one BLAS thread): the m = 0,
+# n = 1 overlap, which spent adaptive Gauss-Kronrod's 20000 panels at wall
+# phases 3.04e4 and 3.65e4 rad, meets the target on its first rung at every
+# wall phase tried up to 4.99e4 (a bound of 1e5 rad), within 2.3e-15 of
+# `spectral._i_matrix` and in at most 10 ms; so do cos(1e5 s) and, at 4.99e4
+# rad, a chirp whose amplitude vanishes as (1 - s)^8 at the wall.
+_RADIANS_PER_BUDGET_PANEL = 5.0
 
 
 @dataclass(frozen=True)
 class QuadResult:
     value: object          # scalar or ndarray of component values
-    err_estimate: float    # max-component accumulated |K15 - G7|
-    panels_used: int       # total panel evaluations spent
+    err_estimate: float    # max-component |difference| of the ladder's two orders
+    panels_used: int       # rungs of the ladder summed
 
 
 class BudgetExceededError(NumericError):
@@ -91,30 +83,14 @@ def _target(err: float, value) -> float:
     return max(ABS_TOL, REL_TOL * float(np.max(np.abs(value))))
 
 
-def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
-    """Apply GK15 to each [lo_i, hi_i]; returns (kron, err) per panel.
-
-    `f` is called once per slice of whole panels, at most _SLICE_NODES
-    abscissae each.
-    """
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    pts = c[:, None] + h[:, None] * _NODES[None, :]
-    step = _SLICE_NODES // _NODES.size
-    krons, errs = [], []
-    for a in range(0, lo.size, step):
-        sub = pts[a:a + step]
-        vals = np.asarray(f(sub.ravel()))
-        if vals.shape[0] != sub.size:
-            raise ValueError("integrand must return one leading value per abscissa")
-        vals = vals.reshape(sub.shape + vals.shape[1:])
-        hb = h[a:a + step].reshape((sub.shape[0],) + (1,) * (vals.ndim - 2))
-        kron = hb * np.tensordot(_W_KRON, vals, axes=([0], [1]))
-        gauss = hb * np.tensordot(_W_GAUSS, vals, axes=([0], [1]))
-        diff = np.abs(kron - gauss)
-        krons.append(kron)
-        errs.append(diff.reshape(diff.shape[0], -1).max(axis=1))
-    return np.concatenate(krons), np.concatenate(errs)
+def _phase_within_budget(radians: float):
+    """NumericError at once on |radians| past what quad.PANEL_BUDGET panels
+    can resolve, instead of spending the budget."""
+    limit = _RADIANS_PER_BUDGET_PANEL * PANEL_BUDGET
+    if not abs(radians) <= limit:
+        raise NumericError(
+            f"total phase {abs(radians):.4g} rad is beyond the {limit:.4g} rad that "
+            f"quad.PANEL_BUDGET = {PANEL_BUDGET} panels can resolve")
 
 
 def _fejer2_weights(n: int) -> np.ndarray:
@@ -193,61 +169,137 @@ def gauss_legendre(nodes: int):
     return s, w
 
 
-def integrate(f, a: float, b: float, initial_panels: int = 8) -> QuadResult:
-    """Integrate f over [a, b] to max(ABS_TOL, REL_TOL * max|component|),
-    starting from `initial_panels` equal panels.
+# The ladder's Gauss-Legendre orders: n nodes resolve 2.4 rad of total phase
+# per node past their first 16.  Against composite Gauss-Legendre at 512
+# nodes a panel, over m in {0, 1, 5, 20, 50}, n_max in {4, 20, 60} and xi
+# 0.1-5, on eigenstate starts at alpha-ratios -5 to 5 (248 cells, 24-754 rad)
+# and on random states at +-1 and +-20 (180 cells, up to 3379 rad), the fewest
+# nodes meeting a tenth of the target were at most 16 past 2.76 rad per node
+# (a random state at alpha-ratio 20 with n_max 4, where the wall's chirp
+# dominates; 3.54 on the eigenstate starts).
+_DIRECT_RADIANS_PER_NODE = 2.4
+_DIRECT_SPARE_NODES = 16
+
+
+def _direct_rungs(wall: float, even: float):
+    """The ladder's rungs (panels, n): Gauss-Legendre of orders n and n + 32
+    on `panels` equal panels of [0, 1].
+
+    The first rung is the fewest panels whose worst, the last, resolves its
+    total phase at an order within the cap: a wall's chirp, `wall` = |alpha|
+    xi over [0, 1], turns (2 panels - 1) / panels^2 of it there, and the
+    `even` radians (the Bessel blocks' 2 x_max, or `integrate`'s bound) turn
+    evenly.  Each next rung takes 32 nodes more per panel up to the cap, then
+    one panel more.
+    """
+    step, cap = _GAUSS_STEP, _GAUSS_NODES_MAX
+    panels = 1
+    while True:
+        phase = (wall * (2 * panels - 1) / panels + even) / panels
+        nodes = math.ceil(phase / _DIRECT_RADIANS_PER_NODE) + _DIRECT_SPARE_NODES
+        n = step * math.ceil(nodes / step)
+        if n + step <= cap:
+            break
+        panels += 1
+    while True:
+        yield panels, n
+        if n + 2 * step <= cap:
+            n += step
+        else:
+            panels += 1
+
+
+class _Rule(NamedTuple):
+    """Nodes `s` in (0, 1) with weights `w` and error weights `w_err`, so
+    sum(w_err f) estimates the error of sum(w f), and `tab`, what a caller
+    tabulated on the nodes (`spectral`'s Bessel blocks, one row per node; at
+    most one slice of nodes), or None."""
+
+    s: np.ndarray
+    w: np.ndarray
+    w_err: np.ndarray
+    tab: tuple[np.ndarray, ...] | None = None
+
+
+def _gauss_rules(wall: float, even: float) -> Iterator[_Rule]:
+    """The Gauss-Legendre ladder, one rule per rung of `_direct_rungs`: the
+    nodes of both orders on each panel, w the higher order's weights and
+    w_err the higher's less the lower's."""
+    for panels, n in _direct_rungs(wall, even):
+        (s_lo, w_lo), (s_hi, w_hi) = (gauss_legendre(k) for k in (n, n + _GAUSS_STEP))
+        s = ((np.arange(panels)[:, None] + np.concatenate([s_lo, s_hi])) / panels).ravel()
+        w = np.tile(np.concatenate([np.zeros(n), w_hi]) / panels, panels)
+        w_err = np.tile(np.concatenate([-w_lo, w_hi]) / panels, panels)
+        yield _Rule(s, w, w_err)
+
+
+def _ladder(rules: Iterator[_Rule], contract, radians: float) -> QuadResult:
+    """The first sum on the ladder `rules` whose estimate meets `_target`.
+
+    `contract(rule, part)` returns (sum(w f), sum(w_err f)) over the nodes
+    rule.s[part], a slice of at most _SLICE_NODES; a rule's slices are added
+    in order, and the largest component of the summed estimate judges it.
+    NumericError up front on `radians` past `_phase_within_budget` and on a
+    NaN or infinite estimate; BudgetExceededError, carrying the last sum, its
+    estimate and the rules summed, once PANEL_BUDGET * 15 nodes are spent.
+    """
+    _phase_within_budget(radians)
+    budget = PANEL_BUDGET * 15
+    spent = 0
+    for rungs, rule in enumerate(rules, 1):
+        value = est = 0.0
+        for a in range(0, rule.s.size, _SLICE_NODES):
+            part_value, part_est = contract(rule, slice(a, a + _SLICE_NODES))
+            value = value + part_value
+            est = est + part_est
+        spent += rule.s.size
+        err = float(np.max(np.abs(est)))
+        target = _target(err, value)
+        if err <= target:
+            return QuadResult(value=value, err_estimate=err, panels_used=rungs)
+        if spent >= budget:
+            raise BudgetExceededError(
+                f"node budget {budget} exhausted at error {err:.3e} (target {target:.3e})",
+                QuadResult(value=value, err_estimate=err, panels_used=rungs))
+
+
+def integrate(f, a: float, b: float, radians: float = 0.0) -> QuadResult:
+    """Integrate f over [a, b] to the target on the Gauss-Legendre ladder
+    (`_gauss_rules`), from the first rung that resolves `radians`, a bound on
+    the integrand's peak phase rate times |b - a|.
 
     `f` maps a 1-D abscissa array of length N to an array whose leading axis
     has length N; trailing axes (if any) are integrated componentwise and the
-    error target applies to the worst component.  Real and complex values are
-    both fine.  `f` sees at most _SLICE_NODES abscissae per call.
+    target applies to the worst component.  Real and complex values are
+    both fine.  `f` sees at most _SLICE_NODES abscissae per call, never an
+    endpoint.
 
-    The target (`_target`, which every fixed-rule sum in `spectral` meets
-    too) and the panel budget read ABS_TOL, REL_TOL and PANEL_BUDGET.  Raises
-    BudgetExceededError (carrying the best QuadResult) if PANEL_BUDGET panels
-    are spent before the target is met, NumericError on a NaN or infinite
-    error estimate.
+    The target and the budget read ABS_TOL, REL_TOL and PANEL_BUDGET, as
+    every sum of `_ladder` does.  ValueError on an infinite endpoint or a NaN
+    or negative `radians`; NumericError on `radians` past
+    `_phase_within_budget` or a NaN or infinite error estimate;
+    BudgetExceededError, carrying the last QuadResult, once PANEL_BUDGET * 15
+    nodes are spent.
     """
     a, b = float(a), float(b)
     if not np.isfinite(a) or not np.isfinite(b):
         raise ValueError("endpoints must be finite")
+    if not radians >= 0.0:
+        raise ValueError(f"radians must be >= 0, got {radians}")
     if a == b:
         return QuadResult(value=0.0, err_estimate=0.0, panels_used=0)
-    if initial_panels < 1:
-        raise ValueError("initial_panels must be >= 1")
+    width = b - a
 
-    edges = np.linspace(a, b, initial_panels + 1)
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    kron, err = _eval_panels(f, lo, hi)
-    used = int(lo.size)
+    def contract(rule, part):
+        s = rule.s[part]
+        vals = np.asarray(f(a + width * s))
+        if vals.shape[:1] != s.shape:
+            raise ValueError("integrand must return one leading value per abscissa")
+        return (width * np.tensordot(rule.w[part], vals, axes=1),
+                width * np.tensordot(rule.w_err[part], vals, axes=1))
 
-    while True:
-        total = kron.sum(axis=0)
-        total_err = float(err.sum())
-        target = _target(total_err, total)
-        value = total if np.ndim(total) else complex(total) if np.iscomplexobj(kron) else float(total)
-        if total_err <= target:
-            return QuadResult(value=value, err_estimate=total_err, panels_used=used)
-
-        # never empty: total_err > target, so the largest of the lo.size
-        # panel errors is at least total_err / lo.size > target / (2 lo.size)
-        bad = err > target / (2.0 * lo.size)
-        n_new = 2 * int(bad.sum())
-        if used + n_new > PANEL_BUDGET:
-            best = QuadResult(value=value, err_estimate=total_err, panels_used=used)
-            raise BudgetExceededError(
-                f"panel budget {PANEL_BUDGET} exhausted at error {total_err:.3e} (target {target:.3e})",
-                best,
-            )
-
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[bad], mid])
-        new_hi = np.concatenate([mid, hi[bad]])
-        new_kron, new_err = _eval_panels(f, new_lo, new_hi)
-        used += int(new_lo.size)
-
-        keep = ~bad
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        kron = np.concatenate([kron[keep], new_kron], axis=0)
-        err = np.concatenate([err[keep], new_err])
+    res = _ladder(_gauss_rules(0.0, radians), contract, radians)
+    value = res.value
+    if not np.ndim(value):
+        value = complex(value) if np.iscomplexobj(value) else float(value)
+    return QuadResult(value=value, err_estimate=res.err_estimate, panels_used=res.panels_used)

@@ -26,13 +26,14 @@ applied to one vector.
 
 Every fixed-rule radial integral of Bessel blocks goes through one product,
 `_gram`: int w(s) h^T right(s, h) ds for a right factor formed at the
-nodes, summed on a ladder of rules (`_Rule`) that the blocks carry
+nodes, summed on a ladder of rules (`quad._Rule`) that the blocks carry
 (`_Blocks.rules`), each with its own error estimate; the first rule whose
-estimate meets the target is taken.  Each integrand is entire in s, so
-every rung converges geometrically.  The overlap rule and the moment tables
-climb the nested levels of Fejer's second rule over (0, 1), from the
-smallest whose half-rule resolves the total phase (`_rule_nodes`), judged by
-the difference to that half-rule; levels up to `_RULE_NODES_MAX` nodes are
+estimate meets the target is taken, by the loop `quad.integrate` climbs
+with (`quad._ladder`).  Each integrand is entire in s, so every rung
+converges geometrically.  The overlap rule and the moment tables climb the
+nested levels of Fejer's second rule over (0, 1), from the smallest whose
+half-rule resolves the total phase (`_rule_nodes`), judged by the
+difference to that half-rule; levels up to `_RULE_NODES_MAX` nodes are
 tabulated once per key, and the overlap rule holds J_m(x_mn s_j) once per
 (m, N_max, level).  Overlaps (`_i_matrix`) take the wave h u of the one
 vector u a caller needs, so no caller forms a whole overlap matrix (I is
@@ -42,9 +43,9 @@ wave's own samples, on the overlap rule under the overlaps' weight.  The
 real-space routes never read the rule.  `b_coeffs_direct`, held against
 `b_coeffs` by the two-path check, is a `_gram` on Gauss-Legendre rules, a
 family the overlap rule does not use, at two orders sized from its total
-phase and judged by their difference (`_gauss_rules`).  Only the adaptive
-references integrate by adaptive Gauss-Kronrod, from half a period per panel
-(`_PANEL_RADIANS`): `coeffs_from_initial`, held against
+phase and judged by their difference (`quad._gauss_rules`).  The references
+sum on that same ladder by `quad.integrate`, from a bound on their
+integrand's peak phase rate: `coeffs_from_initial`, held against
 `coeffs_from_eigenstate` (its initial state need not be entire), and the
 single overlap `overlap_I`, which the rule's tests hold the products to.
 
@@ -204,43 +205,11 @@ def _zero(m: int, n: int) -> float:
     return float(_zeros_cached(m, n)[0][n - 1])
 
 
-# Radians of total phase per panel of `quad.PANEL_BUDGET` that
-# `_phase_within_budget` accepts, for every `_gram` product and adaptive start.
-# The adaptive references `overlap_I` and `coeffs_from_initial` set it: they
-# know their integrand only by a bound on its phase.  Measured by `integrate`
-# at the budget of 20000, on 2 cores: the m = 0, n = 1 overlap integrand
-# converged at 2.44e4 rad (1.7 s) and spent the budget at 3.04e4 and 3.65e4,
-# a chirp whose amplitude vanishes as (1 - s)^8 at the wall converged at 4e4
-# (11984 panels), and no integrand tried converged at 5e4, so the limit of 1e5
-# keeps a factor of 2.  Past 1.3e4 every start is the 2048-panel cap, so these
-# figures do not depend on the radians per panel.
-_RADIANS_PER_BUDGET_PANEL = 5.0
-
-# Total phase each panel of an adaptive start sees: half a period.  It serves
-# the adaptive references, `overlap_I` and `coeffs_from_initial`.  One period
-# was undersized.  Over 200 `overlap_I` calls (m in {0, 1, 5, 20}, index pairs
-# up to (60, 60), alpha-ratios -5 to 20, xi 0.2-3), 200 starts refined at one
-# period and none at half, and the panels went 25488 -> 19297.  Over 108
-# `coeffs_from_initial` projections (eigenstates at m in {0, 1, 5}, n <= 3,
-# n_max 30 and 60), 108 refined and then 2, and the panels went 9012 -> 6200.
-_PANEL_RADIANS = math.pi
-
-# The direct route's Gauss-Legendre orders: n nodes resolve 2.4 rad of total
-# phase per node past their first 16.  Against composite Gauss-Legendre at 512
-# nodes a panel, over m in {0, 1, 5, 20, 50}, n_max in {4, 20, 60} and xi
-# 0.1-5, on eigenstate starts at alpha-ratios -5 to 5 (248 cells, 24-754 rad)
-# and on random states at +-1 and +-20 (180 cells, up to 3379 rad), the fewest
-# nodes meeting a tenth of `integrate`'s target were at most 16 past 2.76 rad
-# per node (a random state at alpha-ratio 20 with n_max 4, where the wall's
-# chirp dominates; 3.54 on the eigenstate starts).
-_DIRECT_RADIANS_PER_NODE = 2.4
-_DIRECT_SPARE_NODES = 16
-
 # A rule's half-rule of h nodes resolves 1.4 rad of total phase per node past
 # its first 32.  Against a 3000-node rule, over m in {0, 1, 2, 5, 20}, n_max in
 # {2, 4, 8, 20, 60}, wall phases 0-900 rad and the A^{-1} table, the fewest
-# nodes meeting a tenth of `integrate`'s target were at most 31.3 past 1.4 rad
-# per node.  Levels within one slice, 2047 nodes (1387 rad), are tabulated and
+# nodes meeting a tenth of the target were at most 31.3 past 1.4 rad per
+# node.  Levels within one slice, 2047 nodes (1387 rad), are tabulated and
 # cached; a level past it is summed slice by slice with its blocks evaluated
 # there, never held whole (a level for 1e5 rad would hold 126 MB at n_max 60).
 _RADIANS_PER_NODE = 1.4
@@ -255,56 +224,6 @@ def _rule_nodes(radians: float) -> int:
     return 2 ** (half.bit_length() + 1) - 1
 
 
-def _phase_within_budget(radians: float) -> float:
-    """|radians|, or NumericError at once past what quad.PANEL_BUDGET panels
-    can resolve, instead of spending the budget."""
-    limit = _RADIANS_PER_BUDGET_PANEL * quad.PANEL_BUDGET
-    if not abs(radians) <= limit:
-        raise NumericError(
-            f"total phase {abs(radians):.4g} rad is beyond the {limit:.4g} rad that "
-            f"quad.PANEL_BUDGET = {quad.PANEL_BUDGET} panels can resolve")
-    return abs(radians)
-
-
-def _osc_panels(radians: float) -> int:
-    """Initial panel count of an adaptive start, so each panel sees at most
-    `_PANEL_RADIANS` of total phase.
-
-    Capped so a huge phase cannot demand gigabytes up front; past the cap the
-    adaptive refinement takes over.  A phase beyond what the panel budget can
-    resolve raises NumericError (`_phase_within_budget`).
-    """
-    radians = _phase_within_budget(radians)
-    return min(max(8, int(math.ceil(radians / _PANEL_RADIANS)) + 1), 2048)
-
-
-def _direct_rungs(wall: float, bessel: float):
-    """The direct route's rungs (panels, n): Gauss-Legendre of orders n and
-    n + 32 on `panels` equal panels of [0, 1].
-
-    The first rung is the fewest panels whose worst, the last, resolves its
-    total phase at an order within the cap: the wall's chirp, `wall` =
-    |alpha| xi over [0, 1], turns (2 panels - 1) / panels^2 of it there, and
-    the Bessel blocks' `bessel` = 2 x_max turn evenly.  Each next rung takes
-    32 nodes more per panel up to the cap, then one panel more.
-    """
-    step, cap = quad._GAUSS_STEP, quad._GAUSS_NODES_MAX
-    panels = 1
-    while True:
-        phase = (wall * (2 * panels - 1) / panels + bessel) / panels
-        nodes = math.ceil(phase / _DIRECT_RADIANS_PER_NODE) + _DIRECT_SPARE_NODES
-        n = step * math.ceil(nodes / step)
-        if n + step <= cap:
-            break
-        panels += 1
-    while True:
-        yield panels, n
-        if n + 2 * step <= cap:
-            n += step
-        else:
-            panels += 1
-
-
 # --------------------------------------------------------------------------
 # Overlap matrix
 
@@ -314,7 +233,9 @@ def overlap_I(m: int, n_row: int, n_col: int, t: float, alpha: float,
 
     The wall position comes from `geom` at time `t`; `alpha` sets the phase
     factor independently, which makes the conjugation relation
-    I(t, -alpha) = conj(I(t, alpha)) directly checkable.
+    I(t, -alpha) = conj(I(t, alpha)) directly checkable.  The integrand's
+    phase turns at most 2 |alpha| xi + x_row + x_col rad per unit s, at the
+    wall.
     """
     if n_row < 1 or n_col < 1:
         raise DomainError("mode indices are 1-based and must be >= 1")
@@ -328,41 +249,26 @@ def overlap_I(m: int, n_row: int, n_col: int, t: float, alpha: float,
     def f(s):
         return s * np.exp(-1j * alpha * xi_t * s * s) * bessel_j(m, x1 * s) * bessel_j(m, x2 * s)
 
-    res = integrate(f, 0.0, 1.0,
-                    initial_panels=_osc_panels(abs(alpha) * xi_t + x1 + x2))
-    return complex(res.value)
-
-
-class _Rule(NamedTuple):
-    """Nodes `s` in (0, 1) with weights `w` and error weights `w_err`, so
-    sum(w_err f) estimates the error of sum(w f), and `tab`, the Bessel
-    blocks tabulated on the nodes (one row per node, one column per zero;
-    at most _RULE_NODES_MAX nodes), or None where `_gram` evaluates them as
-    it sums."""
-
-    s: np.ndarray
-    w: np.ndarray
-    w_err: np.ndarray
-    tab: tuple[np.ndarray, ...] | None
+    return complex(integrate(f, 0.0, 1.0, radians=2.0 * abs(alpha) * xi_t + x1 + x2).value)
 
 
 class _Blocks(NamedTuple):
     """Bessel blocks for `_gram`: `at(s)` evaluates them at nodes s (as
-    `_Rule.tab`), `phase` is the total phase 2 x_max of a product of two and
-    `rules(wall)` is the ladder of rules, coarsest first, for a product whose
-    other factors carry `wall` radians more."""
+    `quad._Rule.tab`), `phase` is the total phase 2 x_max of a product of two
+    and `rules(wall)` is the ladder of rules, coarsest first, for a product
+    whose other factors carry `wall` radians more."""
 
     at: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     phase: float
-    rules: Callable[[float], Iterator[_Rule]]
+    rules: Callable[[float], Iterator[quad._Rule]]
 
 
-def _tabulate(at, nodes: int) -> _Rule:
+def _tabulate(at, nodes: int) -> quad._Rule:
     s, w, w_err = quad.fejer2(nodes)
-    return _Rule(s, w, w_err, at(s))
+    return quad._Rule(s, w, w_err, at(s))
 
 
-def _fejer_blocks(at, phase: float, tabulated: Callable[[int], _Rule]) -> _Blocks:
+def _fejer_blocks(at, phase: float, tabulated: Callable[[int], quad._Rule]) -> _Blocks:
     """Blocks `at` of total phase `phase` on the nested levels of Fejer's
     second rule, from the smallest whose half-rule resolves the product's
     phase (`_rule_nodes`): `tabulated(nodes)` up to _RULE_NODES_MAX nodes,
@@ -370,22 +276,10 @@ def _fejer_blocks(at, phase: float, tabulated: Callable[[int], _Rule]) -> _Block
     def rules(wall):
         nodes = _rule_nodes(wall + phase)
         while True:
-            yield tabulated(nodes) if nodes <= _RULE_NODES_MAX else _Rule(*quad.fejer2(nodes), None)
+            yield tabulated(nodes) if nodes <= _RULE_NODES_MAX else quad._Rule(*quad.fejer2(nodes))
             nodes = 2 * nodes + 1
 
     return _Blocks(at, phase, rules)
-
-
-def _gauss_rules(wall: float, bessel: float) -> Iterator[_Rule]:
-    """The direct route's ladder, one rule per rung of `_direct_rungs`: the
-    nodes of both orders on each panel, w the higher order's weights and
-    w_err the higher's less the lower's."""
-    for panels, n in _direct_rungs(wall, bessel):
-        (s_lo, w_lo), (s_hi, w_hi) = (quad.gauss_legendre(k) for k in (n, n + quad._GAUSS_STEP))
-        s = ((np.arange(panels)[:, None] + np.concatenate([s_lo, s_hi])) / panels).ravel()
-        w = np.tile(np.concatenate([np.zeros(n), w_hi]) / panels, panels)
-        w_err = np.tile(np.concatenate([-w_lo, w_hi]) / panels, panels)
-        yield _Rule(s, w, w_err, None)
 
 
 def _overlap_blocks(m: int, n_max: int) -> _Blocks:
@@ -396,7 +290,7 @@ def _overlap_blocks(m: int, n_max: int) -> _Blocks:
 
 
 @cache
-def _bessel_grid(m: int, n_max: int, nodes: int) -> _Rule:
+def _bessel_grid(m: int, n_max: int, nodes: int) -> quad._Rule:
     """The overlap rule: J_m(x_mn s) for zeros 1..n_max on `nodes` nodes.
     At m = 0, n_max = 60, 1023 nodes serve wall phases up to 295 rad and
     2047 up to 1012 rad."""
@@ -419,37 +313,22 @@ def _gram(blocks: _Blocks, weight, right, left: int = 0, phase: float = 0.0) -> 
     `right(s, h)` forms the right factor at nodes s, one row per node and k
     columns, and the result is (columns of h_left, k); the weight is put on
     the narrow side, h_left^T (w right).  `phase` is the total phase the
-    weight and the right factor carry.  The product is summed on each rule
-    of `blocks.rules(phase)` in turn, in slices of quad._SLICE_NODES nodes
-    (one for a tabulated rule), and the first whose largest component of
-    sum(w_err ...) meets quad's target (`quad._target`, read at call time,
-    as `integrate` reads it) is returned.  NumericError up front on a phase
-    past `_phase_within_budget` and on a NaN or infinite estimate;
-    BudgetExceededError, carrying the last sum, its estimate and the rules
-    summed (as `panels_used`), once PANEL_BUDGET * 15 nodes are spent.
+    weight and the right factor carry.  `quad._ladder` sums the product on
+    each rule of `blocks.rules(phase)` in turn, slice by slice (a tabulated
+    rule is one slice), and returns the first that meets quad's target, with
+    its errors: NumericError up front on a total phase past
+    `quad._phase_within_budget`, BudgetExceededError once its node budget is
+    spent.
     """
-    _phase_within_budget(phase + blocks.phase)
-    budget = quad.PANEL_BUDGET * 15
-    spent = 0
-    for rungs, rule in enumerate(blocks.rules(phase), 1):
-        mat = est = 0.0
-        for a in range(0, rule.s.size, quad._SLICE_NODES):
-            part = slice(a, a + quad._SLICE_NODES)
-            s = rule.s[part]
-            h = rule.tab or blocks.at(s)  # a tabulated rule is one slice
-            lb = h[left].T
-            rb = weight(s)[:, None] * right(s, h)
-            mat = mat + _real_matmul(lb, rule.w[part, None] * rb)
-            est = est + _real_matmul(lb, rule.w_err[part, None] * rb)
-        spent += rule.s.size
-        err = float(np.max(np.abs(est)))
-        target = quad._target(err, mat)
-        if err <= target:
-            return mat
-        if spent >= budget:
-            raise quad.BudgetExceededError(
-                f"node budget {budget} exhausted at error {err:.3e} (target {target:.3e})",
-                quad.QuadResult(value=mat, err_estimate=err, panels_used=rungs))
+    def contract(rule, part):
+        s = rule.s[part]
+        h = rule.tab or blocks.at(s)
+        lb = h[left].T
+        rb = weight(s)[:, None] * right(s, h)
+        return (_real_matmul(lb, rule.w[part, None] * rb),
+                _real_matmul(lb, rule.w_err[part, None] * rb))
+
+    return quad._ladder(blocks.rules(phase), contract, phase + blocks.phase).value
 
 
 def _i_matrix(m: int, xi_t: float, alpha: float, n_max: int,
@@ -529,7 +408,10 @@ def coeffs_from_initial(psi0, m: int, geom: TrapGeometry,
 
     `psi0(rho)` is the radial factor of the initial wave function for angular
     index m, normalized as int_0^a |psi0|^2 rho drho = 1; it must vanish at
-    the wall.  Norm deficits above 1e-4 raise TruncationError.
+    the wall.  Norm deficits above 1e-4 raise TruncationError.  Both the norm
+    and the projection are `integrate` sums, which climb their ladder until
+    its estimate meets the target, or raise BudgetExceededError: a kinked
+    profile costs rungs, never a wrong number.
     """
     a = geom.a
 
@@ -540,15 +422,15 @@ def coeffs_from_initial(psi0, m: int, geom: TrapGeometry,
     if abs(norm - 1.0) > 1e-8:
         raise DomainError(f"initial state is not normalized: got {norm:.12g}")
 
-    # c_n = int_0^1 conj(modes(s, 0))_n psi0(a s) a^2 s ds, adaptively: the
-    # real-space reference that the rule's `coeffs_from_eigenstate` is held to
+    # c_n = int_0^1 conj(modes(s, 0))_n psi0(a s) a^2 s ds on the Gauss-Legendre
+    # ladder: the real-space reference that the rule's `coeffs_from_eigenstate`
+    # is held to.  The modes turn at most 2 |alpha| + x_max rad per unit s
     def f(s):
         wave = np.asarray(psi0(a * s), dtype=complex)
         return np.conj(modes(m, s, 0.0, geom, n_max)) * (wave * a * a * s)[:, None]
 
     x_hi = float(_zeros_cached(m, n_max)[0][-1])
-    coeffs = np.asarray(integrate(f, 0.0, 1.0,
-                                  initial_panels=_osc_panels(abs(geom.alpha) + x_hi)).value)
+    coeffs = np.asarray(integrate(f, 0.0, 1.0, radians=2.0 * abs(geom.alpha) + x_hi).value)
     deficit = _deficit_guard(coeffs, "the initial state")
     return SpectralState(m=m, alpha=geom.alpha, coeffs=coeffs, norm_deficit=deficit)
 
@@ -653,10 +535,10 @@ def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
     Independent numerical route to the same coefficients as `b_coeffs`: the
     evolved wave is reconstructed from the exact modes on Gauss-Legendre
     nodes and projected against each instantaneous eigenstate there, one
-    `_gram` on the rules of `_gauss_rules`, two orders sized from the total
-    phase |alpha| xi + 2 x_max and judged by their difference.  It never
-    reads the overlap rule that `b_coeffs` uses, nor its Fejer nodes, nor
-    adaptive quadrature.  The Bessel block at each node serves both the
+    `_gram` on the rules of `quad._gauss_rules`, two orders sized from the
+    total phase |alpha| xi + 2 x_max and judged by their difference.  It
+    never reads the overlap rule that `b_coeffs` uses, nor its Fejer nodes,
+    nor `integrate`.  The Bessel block at each node serves both the
     reconstruction and the projection (`modes(bessel_block=...)`).
     With `drop_moving_phase` the reconstruction is knowingly wrong and the
     agreement with `b_coeffs` must break down.
@@ -669,8 +551,8 @@ def b_coeffs_direct(state: SpectralState, t: float, geom: TrapGeometry,
         return (modes(state.m, s, t, geom, state.n_max, drop_moving_phase,
                       bessel_block=h[0]) @ state.coeffs)[:, None]
 
-    q = _gram(_Blocks(at, bessel, lambda wall: _gauss_rules(wall, bessel)), lambda s: s, wave,
-              phase=abs(geom.alpha) * geom.xi(t))
+    q = _gram(_Blocks(at, bessel, lambda wall: quad._gauss_rules(wall, bessel)), lambda s: s,
+              wave, phase=abs(geom.alpha) * geom.xi(t))
     return math.sqrt(2.0) * geom.L(t) * q[:, 0] / absj
 
 

@@ -55,7 +55,7 @@ def test_criterion_01_zeros_and_orthogonality():
             J = bessel_j(m, s[:, None] * x[None, :])
             return s[:, None, None] * J[:, :, None] * J[:, None, :]
 
-        gram = integrate(f, 0.0, 1.0, initial_panels=16).value
+        gram = integrate(f, 0.0, 1.0, radians=2.0 * x[-1]).value
         worst = max(worst, float(np.max(np.abs(gram - np.diag(j2 / 2.0)))))
     elapsed = time.perf_counter() - t0
 
@@ -118,14 +118,14 @@ def test_criterion_02_corners_need_no_refinement(monkeypatch):
     # state (50, 1) at the (0, 1) cells' wall speeds (its own mode scale
     # truncates at alpha-ratio 5), the direct route takes the first pair of
     # Gauss-Legendre orders sized from its phase, climbs no rung and never
-    # integrates adaptively; b_coeffs and an m = 5 kernel read stay on the
-    # overlap rule
+    # calls integrate; b_coeffs and an m = 5 kernel read stay on the overlap
+    # rule
     calls, orders = [], []
     real_integrate, real_gauss = spectral.integrate, quad.gauss_legendre
 
-    def spy(f, a, b, initial_panels=8):
-        calls.append(initial_panels)
-        return real_integrate(f, a, b, initial_panels=initial_panels)
+    def spy(f, a, b, radians=0.0):
+        calls.append(radians)
+        return real_integrate(f, a, b, radians=radians)
 
     def gauss_spy(nodes):
         orders.append(nodes)
@@ -148,7 +148,7 @@ def test_criterion_02_corners_need_no_refinement(monkeypatch):
                 orders.clear()
                 spectral.b_coeffs_direct(state, t, geom)
                 x_max = spectral._zeros_cached(m, state.n_max)[0][-1]
-                panels, first = next(spectral._direct_rungs(abs(geom.alpha) * xi, 2.0 * x_max))
+                panels, first = next(quad._direct_rungs(abs(geom.alpha) * xi, 2.0 * x_max))
                 assert calls == [] and panels == 1, (m, n, ratio, xi, calls, panels)
                 assert orders == [first, first + 32], (m, n, ratio, xi, orders)
 
@@ -240,20 +240,18 @@ def test_criterion_06_energy_monotonicity_and_limit():
 
 def _direct_a_neg1(m, n):
     x = _x(m, n)
-    return integrate(lambda s: bessel_j(m, x * s) ** 2 / s, 0.0, 1.0,
-                     initial_panels=max(8, int(x))).value
+    return integrate(lambda s: bessel_j(m, x * s) ** 2 / s, 0.0, 1.0, radians=2.0 * x).value
 
 
 def _direct_a3(m, n):
     x = _x(m, n)
-    return integrate(lambda s: s ** 3 * bessel_j(m, x * s) ** 2, 0.0, 1.0,
-                     initial_panels=max(8, int(x))).value
+    return integrate(lambda s: s ** 3 * bessel_j(m, x * s) ** 2, 0.0, 1.0, radians=2.0 * x).value
 
 
 def _direct_c1(m, n):
     x = _x(m, n)
     return -integrate(lambda s: s * (x * bessel_j_prime(m, x * s)) ** 2,
-                      0.0, 1.0, initial_panels=max(8, int(x))).value
+                      0.0, 1.0, radians=2.0 * x).value
 
 
 def test_criterion_07_oracle_identities():

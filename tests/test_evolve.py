@@ -43,7 +43,7 @@ def test_mode_normalization(m, n, t):
     def f(rho):
         return np.abs(psi_exact(m, n, rho, 0.0, t, geom)) ** 2 * rho
 
-    norm = 2.0 * math.pi * integrate(f, 0.0, L, initial_panels=32).value
+    norm = 2.0 * math.pi * integrate(f, 0.0, L, radians=2.0 * _x(m, n)).value
     assert_allclose(norm, 1.0, rtol=1e-10)
 
 
@@ -364,16 +364,16 @@ def _spy(monkeypatch, name):
 @pytest.mark.parametrize("m", [0, 5])
 def test_kernel_projects_on_overlap_rule(m, monkeypatch):
     # an exact-mode source is resolved on the tabulated rule, with no
-    # adaptive call, and on the angular rule's first level: max(8, 2m + 2)
+    # integrate call, and on the angular rule's first level: max(8, 2m + 2)
     # angles are exact for its frequencies 0 and 2m, so no radius is sampled
     # on more than twice that
     geom = TrapGeometry.from_alpha(-0.5 * _x(m, 1))
     t = -0.5 / geom.u  # xi = 0.5
     target = (0.4 * geom.L(t), 0.7)
     src, counts = _angle_spy(lambda rho, phi: psi_exact(m, 1, rho, phi, 0.0, geom))
-    adaptive = _spy(monkeypatch, "integrate")
+    integrals = _spy(monkeypatch, "integrate")
     via_kernel = propagate_through_kernel([m], target, t, src, 0.0, geom)
-    assert adaptive == []
+    assert integrals == []
     assert abs(via_kernel - psi_exact(m, 1, target[0], target[1], t, geom)) < 1e-10
     assert counts and max(counts) <= 2 * max(8, 2 * m + 2)
 
@@ -400,7 +400,7 @@ def test_kernel_read_bessel_points(monkeypatch):
 def test_kernel_falls_back_past_rule_headroom(monkeypatch):
     # a wall phase |alpha| xi(t') past what the largest tabulated level
     # resolves with 2 x_max takes the projection on a bare level, the source
-    # sampled slice by slice: no table, no adaptive call, same kernel
+    # sampled slice by slice: no table, no integrate call, same kernel
     geom = TrapGeometry.from_alpha(500.0)
     t0, t1, t2 = 0.0, 0.002, 0.004
     x_max = spectral._zeros_cached(0, 20)[0][-1]
@@ -417,10 +417,10 @@ def test_kernel_falls_back_past_rule_headroom(monkeypatch):
     def refuse(*key):
         raise AssertionError(f"the kernel read the tabulated level {key}")
 
-    adaptive = _spy(monkeypatch, "integrate")
+    integrals = _spy(monkeypatch, "integrate")
     monkeypatch.setattr(spectral, "_bessel_grid", refuse)
     via_kernel = propagate_through_kernel([0], r, t2, src, t1, geom, n_max=20)
-    assert adaptive == []
+    assert integrals == []
     direct = propagator([0], r, t2, (rho0, phi0), t0, geom, n_max=20)
     assert abs(via_kernel - direct) <= 1e-10 * max(1.0, abs(direct))
 

@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod integration on scalar, complex and array integrands."""
+"""The Gauss-Legendre ladder on scalar, complex and array integrands, and the
+fixed rules it and the Fejer levels are built from."""
 
 import math
 
@@ -15,13 +16,15 @@ from qtrap.special import NumericError, bessel_j
 
 
 def test_polynomial_single_panel():
-    # degree 13 is exact for the embedded Gauss rule too, so the error
-    # estimate vanishes and one panel suffices
-    res = integrate(lambda s: s ** 13, 0.0, 1.0, initial_panels=1)
+    # degrees 13 and 20 are exact for both orders of the first rung, one
+    # panel at 32 and 64 nodes, so the error estimate vanishes and one rung
+    # suffices
+    res = integrate(lambda s: s ** 13, 0.0, 1.0, radians=0.0)
     assert_allclose(res.value, 1.0 / 14.0, rtol=1e-14)
     assert res.panels_used == 1
-    res20 = integrate(lambda s: s ** 20, 0.0, 1.0, initial_panels=1)
+    res20 = integrate(lambda s: s ** 20, 0.0, 1.0, radians=0.0)
     assert_allclose(res20.value, 1.0 / 21.0, rtol=1e-14)
+    assert res20.panels_used == 1
 
 
 def test_oscillatory_cosine():
@@ -38,7 +41,7 @@ def test_bessel_moment_reference():
 
 def test_complex_exponential():
     w = 17.3
-    res = integrate(lambda s: np.exp(1j * w * s), 0.0, 2.0, initial_panels=16)
+    res = integrate(lambda s: np.exp(1j * w * s), 0.0, 2.0, radians=2.0 * w)
     exact = (np.exp(2j * w) - 1.0) / (1j * w)
     assert_allclose(res.value, exact, atol=1e-12)
     assert isinstance(res.value, complex)
@@ -140,13 +143,14 @@ def test_budget_error_carries_best_result(monkeypatch):
     monkeypatch.setattr(quad, "ABS_TOL", 1e-15)
     monkeypatch.setattr(quad, "REL_TOL", 1e-15)
     monkeypatch.setattr(quad, "PANEL_BUDGET", 40)
-    with pytest.raises(BudgetExceededError) as exc_info:
+    with pytest.raises(BudgetExceededError, match="node budget 600 exhausted") as exc_info:
         integrate(lambda s: 1.0 / np.sqrt(s), 0.0, 1.0)
     best = exc_info.value.result
     assert isinstance(best, QuadResult)
     # endpoint singularity: crude but in the right neighborhood of 2
     assert abs(best.value - 2.0) < 0.1
-    assert best.panels_used <= 40
+    # the rungs at 32, 64, 96 and 128 nodes (96 + 160 + 224 + 288 nodes)
+    assert best.panels_used == 4
 
 
 def test_rel_tol_scaling(monkeypatch):
@@ -163,12 +167,12 @@ def test_chunked_evaluation_matches_unchunked(monkeypatch):
         sizes.append(s.size)
         return np.cos(np.linspace(1.0, 4.0, 7)[None, :] * s[:, None])
 
-    full = integrate(f, 0.0, 5.0, initial_panels=32)
+    full = integrate(f, 0.0, 5.0, radians=20.0)
     monkeypatch.setattr(quad, "_SLICE_NODES", 50)
     sizes.clear()
-    tiny = integrate(f, 0.0, 5.0, initial_panels=32)
-    # whole panels, three to a slice of 50 nodes
-    assert max(sizes) == 45 and all(n % 15 == 0 for n in sizes)
+    tiny = integrate(f, 0.0, 5.0, radians=20.0)
+    # a rung of more than 50 nodes, in slices of at most 50
+    assert max(sizes) <= 50 < sum(sizes)
     assert_allclose(tiny.value, full.value, rtol=1e-13, atol=1e-15)
 
 
@@ -186,11 +190,24 @@ def test_bad_integrand_shape_rejected():
         integrate(np.sin, 0.0, np.inf)
 
 
-@pytest.mark.parametrize("call", [lambda: integrate(np.sin, 0.0, 1.0, initial_panels=0)],
-                         ids=["integrate"])
-def test_panel_count_below_one_rejected(call):
-    with pytest.raises(ValueError, match="must be >= 1"):
-        call()
+def test_radians_nan_or_negative_rejected():
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="radians must be >= 0"):
+            integrate(np.sin, 0.0, 1.0, radians=bad)
+
+
+def test_phase_within_budget_refuses_phase_past_budget(monkeypatch):
+    # the limit scales with the panel budget, read at call time, and
+    # integrate's bound on its phase meets it up front
+    quad._phase_within_budget(-1e5)
+    with pytest.raises(NumericError, match=r"total phase 1\.001e\+05 rad .*PANEL_BUDGET = 20000"):
+        quad._phase_within_budget(1.001e5)
+    with pytest.raises(NumericError, match=r"total phase 1\.001e\+05 rad .*PANEL_BUDGET = 20000"):
+        integrate(np.sin, 0.0, 1.0, radians=1.001e5)
+    with pytest.raises(NumericError):
+        quad._phase_within_budget(math.nan)
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 40000)
+    quad._phase_within_budget(1.5e5)
 
 
 @hyp.settings(max_examples=10, deadline=None)

@@ -165,7 +165,7 @@ def test_overlap_matrix_consistent_with_scalar():
 
 
 def _spy_integrate(monkeypatch):
-    """Record every adaptive `integrate` call made from the spectral module."""
+    """Record every `integrate` call made from the spectral module."""
     calls = []
     real = spectral.integrate
 
@@ -199,14 +199,14 @@ def test_tabulated_overlap_matches_adaptive(monkeypatch):
     t = 0.4
     calls = _spy_integrate(monkeypatch)
     mat = spectral._i_matrix(0, geom.xi(t), geom.alpha, 60, np.eye(60))
-    assert calls == []  # served by the grid, no adaptive quadrature
+    assert calls == []  # served by the grid, no integrate call
     for i, j in _PROBES:
         assert abs(mat[i, j] - overlap_I(0, i + 1, j + 1, t, geom.alpha, geom)) < 1e-11
 
 
 def test_overlap_beyond_grid_falls_back_to_adaptive(monkeypatch):
     # past the tabulated levels the product sums a bare Fejer level, its
-    # blocks evaluated slice by slice: no table, no adaptive call
+    # blocks evaluated slice by slice: no table, no integrate call
     geom = TrapGeometry.from_alpha(700.0)
     t = 0.6 / geom.u  # xi = 1.6, wall phase 1120
     x_max = _zeros(0, 60)[0][-1]
@@ -222,7 +222,7 @@ def test_overlap_beyond_grid_falls_back_to_adaptive(monkeypatch):
 def test_overlap_falls_back_on_a_rule_one_level_short(monkeypatch):
     # a wall phase of 300 rad on eight zeros takes the 1023-node rule; started
     # on the 511-node one, the nested estimate misses and the product climbs
-    # one level, with no adaptive call
+    # one level, with no integrate call
     geom = TrapGeometry.from_alpha(187.5)
     t = 0.6 / geom.u  # xi = 1.6, wall phase 300
     rule_nodes = spectral._rule_nodes
@@ -274,7 +274,7 @@ def _overlap_operands(n_max, seed):
 
 def _check_overlap_products(monkeypatch, m, xi_t, alpha, n_max, levels, start=None):
     # I u against the full matrix times u, each product taking the same
-    # route: the tabulated `levels`, and no adaptive integral; with `start`,
+    # route: the tabulated `levels`, and no integrate call; with `start`,
     # every product but the full one starts on that level
     full = spectral._i_matrix(m, xi_t, alpha, n_max, np.eye(n_max))
     if start is not None:
@@ -375,8 +375,8 @@ def test_overlap_products_past_the_tables_memory(monkeypatch):
 
 def test_direct_coefficients_do_not_read_overlap_rule(monkeypatch):
     # the two-path check holds b_coeffs against a route of its own: no
-    # overlap rule, no tabulated rule, no Fejer nodes, no adaptive
-    # quadrature, but Gauss-Legendre nodes
+    # overlap rule, no tabulated rule, no Fejer nodes, no integrate call, but
+    # Gauss-Legendre nodes
     def refuse(*args, **kwargs):
         raise AssertionError("b_coeffs_direct read the overlap rule")
 
@@ -422,7 +422,7 @@ def test_direct_route_climbs_on_a_missed_estimate(monkeypatch):
     monkeypatch.setattr(quad, "gauss_legendre", spy)
     b_coeffs_direct(state, t, geom)
     assert orders == [64, 96]
-    monkeypatch.setattr(spectral, "_DIRECT_SPARE_NODES", spectral._DIRECT_SPARE_NODES - 32)
+    monkeypatch.setattr(quad, "_DIRECT_SPARE_NODES", quad._DIRECT_SPARE_NODES - 32)
     orders.clear()
     direct = b_coeffs_direct(state, t, geom)
     assert orders == [32, 64, 64, 96]
@@ -444,14 +444,14 @@ def test_direct_route_spends_node_budget(monkeypatch):
 def _spy_rungs(monkeypatch):
     """The direct route's rungs (panels, n), in the order they are summed."""
     rungs = []
-    real = spectral._direct_rungs
+    real = quad._direct_rungs
 
-    def spy(wall, bessel):
-        for rung in real(wall, bessel):
+    def spy(wall, even):
+        for rung in real(wall, even):
             rungs.append(rung)
             yield rung
 
-    monkeypatch.setattr(spectral, "_direct_rungs", spy)
+    monkeypatch.setattr(quad, "_direct_rungs", spy)
     return rungs
 
 
@@ -498,8 +498,8 @@ def test_gram_products_read_quads_target_at_call_time(monkeypatch, product):
 
 
 def test_direct_route_refuses_phase_past_budget():
-    # the one limit on phase is _phase_within_budget's refusal, which the
-    # adaptive starts share, with its message
+    # the one limit on phase is _phase_within_budget's refusal, which
+    # integrate shares, with its message
     geom = TrapGeometry.from_alpha(5e4)
     state = spectral.SpectralState(m=0, alpha=geom.alpha, coeffs=[1.0, 0.0])
     with pytest.raises(NumericError, match=r"total phase 1\.5e\+05 rad .*PANEL_BUDGET = 20000"):
@@ -512,17 +512,6 @@ def test_overlap_rejects_non_finite_alpha(alpha):
         overlap_I(0, 1, 2, 0.0, alpha, TrapGeometry())
 
 
-def test_osc_panels_refuses_phase_past_budget(monkeypatch):
-    # the limit scales with the panel budget, read at call time
-    assert spectral._osc_panels(-1e5) == 2048
-    with pytest.raises(NumericError, match=r"total phase 1\.001e\+05 rad .*PANEL_BUDGET = 20000"):
-        spectral._osc_panels(1.001e5)
-    with pytest.raises(NumericError):
-        spectral._osc_panels(math.nan)
-    monkeypatch.setattr(quad, "PANEL_BUDGET", 40000)
-    assert spectral._osc_panels(1.5e5) == 2048
-
-
 @hyp.settings(max_examples=10, deadline=None)
 @hyp.given(st.floats(min_value=-1.2, max_value=3.0))
 def test_overlap_conjugation_property(alpha):
@@ -531,6 +520,16 @@ def test_overlap_conjugation_property(alpha):
     val = overlap_I(0, 1, 2, 0.1, geom.alpha, geom)
     flipped = overlap_I(0, 1, 2, 0.1, -geom.alpha, geom)
     assert abs(flipped - np.conj(val)) < 1e-11
+
+
+@pytest.mark.parametrize("wall", [3.04e4, 3.65e4])
+def test_overlap_reference_reaches_the_phase_envelope(wall):
+    # wall phases |alpha| xi at which the single overlap once spent its
+    # budget: started from its peak phase rate, 2 |alpha| xi + x + x', the
+    # ladder resolves the chirp at the wall on its first rung
+    row = spectral._i_matrix(0, 1.0, wall, 8, np.eye(8))
+    for i, j in ((1, 1), (1, 8), (4, 6)):
+        assert abs(row[i - 1, j - 1] - overlap_I(0, i, j, 0.0, wall, TrapGeometry())) < 1e-11
 
 
 # --------------------------------------------------------------------------
@@ -566,6 +565,38 @@ def test_initial_projection_matches_eigenstate_route():
     direct = coeffs_from_initial(psi0, m, geom, n_max=30)
     via_mode = coeffs_from_eigenstate(m, n, geom, n_max=30)
     assert np.max(np.abs(direct.coeffs - via_mode.coeffs)) < 1e-9
+
+
+def _tent(rho):
+    # unit norm against rho drho: 24 int_0^1 min(rho, 1 - rho)^2 rho drho = 1
+    return math.sqrt(24.0) * np.minimum(rho, 1.0 - rho)
+
+
+def test_kinked_initial_state_converges_or_refuses(monkeypatch):
+    # a tent is not entire: the ladder climbs past its kink at rho = 1/2 to
+    # the target, or spends its budget; it never returns a wrong number.
+    # The reference is scipy's adaptive quadrature with a breakpoint at the
+    # kink, on scipy's own zeros and Bessel functions
+    from scipy import integrate as sci_integrate, special as sci_special
+    geom = TrapGeometry.from_alpha(1.0)
+    state = coeffs_from_initial(_tent, 0, geom, n_max=60)
+    zeros = sci_special.jn_zeros(0, 60)
+    for n in (1, 2, 30, 60):
+        x = zeros[n - 1]
+
+        def mode_times_tent(s, part):
+            # conj(modes(s, 0))_n psi0(s) s at a = 1, xi = 1, tau = 0
+            val = (math.sqrt(2.0) / abs(sci_special.j1(x)) * sci_special.j0(x * s)
+                   * np.exp(-1j * geom.alpha * s * s) * _tent(s) * s)
+            return getattr(val, part)
+
+        ref = complex(*(sci_integrate.quad(mode_times_tent, 0.0, 1.0, args=(part,), points=[0.5],
+                                           epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                        for part in ("real", "imag")))
+        assert abs(state.coeffs[n - 1] - ref) < 1e-10, n
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 200)
+    with pytest.raises(quad.BudgetExceededError):
+        coeffs_from_initial(_tent, 0, geom, n_max=60)
 
 
 def test_initial_projection_rejects_unnormalized():
@@ -731,7 +762,7 @@ def test_modes_orthonormal(m, n_max, alpha, xi_t):
         return (L * L * s)[:, None, None] * np.conj(md)[:, :, None] * md[:, None, :]
 
     x_hi = float(_zeros(m, n_max)[0][-1])
-    gram = integrate(f, 0.0, 1.0, initial_panels=spectral._osc_panels(2.0 * x_hi)).value
+    gram = integrate(f, 0.0, 1.0, radians=2.0 * x_hi).value
     assert np.max(np.abs(gram - np.eye(n_max))) < 1e-10
 
 
@@ -805,17 +836,16 @@ def test_gradient_moment_against_direct_quadrature():
     def f(s):
         return s * (x * bessel_j_prime(m, x * s)) ** 2
 
-    ref = -integrate(f, 0.0, 1.0, initial_panels=16).value
+    ref = -integrate(f, 0.0, 1.0, radians=2.0 * x).value
     assert_allclose(tab.B0[n - 1, n - 1] + tab.C1[n - 1, n - 1], ref, rtol=1e-11)
 
 
 _MOMENTS = (("A3", 3, 0), ("A1", 1, 0), ("Aneg1", -1, 0), ("B0", 0, 1), ("B2", 2, 1))
 
 
-def _adaptive_moment(m, n_max, k, derivatives):
+def _reference_moment(m, n_max, k, derivatives):
     """int s^k g_i g_j ds, with g'_j on the right for one derivative and
-    g'_i g'_j for two, by adaptive quadrature from the adaptive route's
-    initial layout."""
+    g'_i g'_j for two, by `integrate` from the blocks' phase 2 x_max."""
     from qtrap.quad import integrate
     zeros, _ = _zeros(m, n_max)
 
@@ -826,8 +856,7 @@ def _adaptive_moment(m, n_max, k, derivatives):
         left = jp if derivatives == 2 else j
         return (s ** k)[:, None, None] * left[:, :, None] * jp[:, None, :]
 
-    panels = spectral._osc_panels(2.0 * zeros[-1])
-    return integrate(f, 0.0, 1.0, initial_panels=panels).value
+    return integrate(f, 0.0, 1.0, radians=2.0 * zeros[-1]).value
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
@@ -839,10 +868,10 @@ def test_fixed_rule_moment_tables_match_adaptive(m, cold_memo, monkeypatch):
     for name, k, derivatives in _MOMENTS:
         if m == 0 and name == "Aneg1":
             continue  # divergent at m = 0, stored as NaN
-        ref[name] = _adaptive_moment(m, 60, k, derivatives)
+        ref[name] = _reference_moment(m, 60, k, derivatives)
         assert np.max(np.abs(getattr(tab, name) - ref[name])) < 1e-12, name
     # C1 by parts: -B0 - int s g'_i g'_j
-    grad = _adaptive_moment(m, 60, 1, 2)
+    grad = _reference_moment(m, 60, 1, 2)
     c1_ref = -ref["B0"] - grad
     assert np.max(np.abs(tab.C1 - c1_ref)) < 1e-12 * np.max(np.abs(c1_ref))
     # the zero-only blocks, undone from their |J_{m+1}| normalisation; the
@@ -869,7 +898,7 @@ def test_moment_tables_fall_back_when_estimate_misses(cold_memo, monkeypatch):
     # the 255-node level is sized for these tables, and one level short
     # still meets the target; started on 15 nodes, the products climb the
     # nested levels, each tabulated once, until their estimates meet it (at
-    # 127), with no adaptive call
+    # 127), with no integrate call
     assert spectral._rule_nodes(2.0 * _zeros(1, 8)[0][-1]) == 255
     on_rule = moment_tables(1, 8)
     spectral._moment_tables.cache_clear()
