@@ -3,26 +3,34 @@ positive zeros, and an exact generalized hypergeometric sum.  The Bessel
 routines are float64 throughout and `pfq` sums in Python integers, so none
 depends on the platform's long double.  Each route of J_m runs only where
 it does not cancel: the ascending series, 13 terms, for x <= 2; Miller's
-backward recurrence for 2 < x <= max(15.3, m); past that, J_0 and J_1 from
-`_HANKEL_TERMS` Hankel terms and upward recurrence to m, which then runs
+band, 2 < x <= max(15.3, m), read from degree-8 Taylor pieces 1/8 wide of
+J_m(x) (2/x)^m, built from one run of Miller's backward recurrence in
+double-double; past that, J_0 and J_1 from `_HANKEL_TERMS` Hankel terms
+(order m's alone at m <= 1) and upward recurrence to m, which then runs
 only through k < x.  The Hankel P and Q are polynomials in 1/x^2 (Q after a
 factor 1/x); their fixed coefficients are tabulated once at import and
 summed by Horner's rule.
 
-Everything in this module is pure and reentrant.  No caching happens here;
-callers that want tables cache them themselves.
+Everything in this module is pure and reentrant.  One cache lives here:
+`_taylor_tables`, the Taylor pieces of Miller's band, built on the band's
+first call and never at import, one table for orders 0 to 15 together
+(123 KB) and one for each higher order (at most 28 KB, at m = 51).  Callers
+that want other tables cache them themselves.
 
 Supported envelope: integer order 0 <= m <= 50, argument 0 <= x <= 1e4.
 Within it, absolute error <= 1e-13 for x <= 50 and relative error <= 1e-11
 beyond, which is what the quadrature and spectral layers budget for.
-Measured against 30-digit mpmath: at most 8.9e-16 absolute on [0, 70] (12
-orders up to 51), 3.7e-15 of the amplitude sqrt(2/(pi x)) on 40 geometric
-points of [50, 1e4], and up to 8.0e-15 of it just past x = m (m = 51 at
-x = 51.14), where the float64 upward recurrence is longest.
+Measured against 30-digit mpmath: at most 1.2e-15 absolute on [0, 70] in
+steps of 0.02 (12 orders up to 51), just past the Hankel floor (m = 15 at
+x = 15.34), and 1.1e-16 in Miller's band; 3.7e-15 of the amplitude
+sqrt(2/(pi x)) on 40 geometric points of [50, 1e4], and up to 8.0e-15 of
+it just past x = m (m = 51 at x = 51.14), where the float64 upward
+recurrence is longest.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -73,6 +81,9 @@ _SERIES_TERMS = 13
 _HANKEL_FLOOR = 15.3
 _HANKEL_TERMS = next(j for j in itertools.count(1)
                      if (2 * j - 1) ** 2 >= 8 * j * _HANKEL_FLOOR)
+# Miller's band reads Taylor pieces this wide, of this degree (_taylor_tables).
+_TAYLOR_STEP = 0.125
+_TAYLOR_DEGREE = 8
 
 
 def _miller_start(m: int) -> int:
@@ -103,20 +114,132 @@ def _jm_series(m: int, x: np.ndarray) -> np.ndarray:
     return total
 
 
+# Error-free transformations (Knuth's two-sum, Dekker's split and product):
+# each returns a float64 pair whose exact sum is the exact result.
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a):
+    c = 134217729.0 * a  # 2^27 + 1: hi keeps the top 26 bits of a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, a_split, b):
+    # a_split is _split(a), which callers reuse across products
+    p = a * b
+    (ah, al), (bh, bl) = a_split, _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def _jm_miller(m: int, x: np.ndarray) -> np.ndarray:
-    """J_m(x) for 2 < x <= max(_HANKEL_FLOOR, m): J_{k-1} = (2k/x) J_k - J_{k+1}
+    """J_0(x) to J_{m+1}(x), one row each, for 2 < x <= max(_HANKEL_FLOOR, m),
+    the values `_taylor_tables` is built from: J_{k-1} = (2k/x) J_k - J_{k+1}
     down from J_N = 1, J_{N+1} = 0 at N = _miller_start(m), the direction in
     which J dominates, then normalised by J_0 + 2 sum J_2k = 1 (Miller's
-    algorithm).  Unnormalised, J_0 stays below 1/J_102(2), about 1e162."""
-    inv = 2.0 / x
-    jk, jk1, even = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
-    for k in range(_miller_start(m), 0, -1):  # jk is J_k, jk1 J_{k+1}
-        if k == m:
-            jm = jk
+    algorithm).  Every step, the sum and the quotients are carried as
+    unevaluated pairs hi + lo (double-double), so each value is within about
+    half an ulp of itself; in plain float64 the recurrence's roundings leave
+    up to 1.9 ulps of 1.  Unnormalised, J_0 stays below 1/J_102(2), about
+    1e162."""
+    n = _miller_start(m)
+    k2 = 2.0 * np.arange(n, 0, -1)[:, None]
+    r = k2 / x  # row i holds 2k/x at k = n - i, and r + r_lo is 2k/x
+    r_split = _split(r)
+    p, e = _two_prod(r, r_split, x)
+    r_lo = ((k2 - p) - e) / x
+    rows = np.empty((2, m + 2, x.size))  # hi and lo of J_0 .. J_{m+1}
+    jk, jk_lo = np.ones_like(x), np.zeros_like(x)  # J_k, as hi + lo
+    jk1, jk1_lo = np.zeros_like(x), np.zeros_like(x)  # J_{k+1}
+    even, even_lo = np.zeros_like(x), np.zeros_like(x)
+    for i, k in enumerate(range(n, 0, -1)):
+        if k <= m + 1:
+            rows[0, k], rows[1, k] = jk, jk_lo
         if k % 2 == 0:
-            even += jk
-        jk, jk1 = (k * inv) * jk - jk1, jk
-    return (jm if m else jk) / (jk + 2.0 * even)
+            even, lo = _two_sum(even, jk)
+            even_lo += lo + jk_lo
+        p, e = _two_prod(r[i], (r_split[0][i], r_split[1][i]), jk)
+        e += r[i] * jk_lo + r_lo[i] * jk
+        s, lo = _two_sum(p, -jk1)
+        lo += e - jk1_lo
+        jk1, jk1_lo = jk, jk_lo
+        jk = s + lo
+        jk_lo = lo - (jk - s)
+    rows[0, 0], rows[1, 0] = jk, jk_lo
+    norm, lo = _two_sum(jk, 2.0 * even)
+    norm_lo = lo + (jk_lo + 2.0 * even_lo)
+    q = rows[0] / norm
+    p, e = _two_prod(norm, _split(norm), q)
+    return q + (((rows[0] - p) - e) + rows[1] - q * norm_lo) / norm
+
+
+# Orders up to this one share one band, 2 < x <= _HANKEL_FLOOR.
+_SHARED_BAND = int(_HANKEL_FLOOR)
+
+
+@functools.cache
+def _taylor_tables(band: int) -> dict[int, np.ndarray]:
+    """Taylor pieces of J_m on the Miller band 2 < x <= max(_HANKEL_FLOOR,
+    band), for every order m whose band it is: 0 to _SHARED_BAND for that
+    one, and `band` alone past it.  Row i of order m's table holds the
+    piece centred at c = 2 + (i + 1/2) _TAYLOR_STEP (the last one reaches
+    past the band), column k its coefficient of t^k, t = x - c, in
+    G(t) = J_m(c + t) (c/(c + t))^m = (c/2)^m g(c + t), g(x) = J_m(x) (2/x)^m.
+    g, unlike J_m, is near 1/m! wherever J_m is tiny, so each piece keeps
+    J_m's relative accuracy.  a_0 = J_m(c) and, since
+    g'(x) = -(2/x)^m J_{m+1}(x) (DLMF 10.6.6), a_1 = -J_{m+1}(c), both from
+    one `_jm_miller` run; g's equation x g'' + (2m + 1) g' + x g = 0 gives
+    the rest:
+    a_{k+2} = -[(k+1)(k+2m+1) a_{k+1} + c a_k + a_{k-1}] / (c (k+1)(k+2)).
+    Built on first use, read-only."""
+    count = math.ceil((max(_HANKEL_FLOOR, band) - _SERIES_TOP) / _TAYLOR_STEP)
+    c = _SERIES_TOP + (np.arange(count) + 0.5) * _TAYLOR_STEP
+    j = _jm_miller(band, c)
+    orders = range(band + 1) if band == _SHARED_BAND else [band]
+    m = np.array(orders, dtype=float)[:, None]
+    a = np.zeros((len(orders), _TAYLOR_DEGREE + 1, count))
+    a[:, 0], a[:, 1] = j[orders], -j[[k + 1 for k in orders]]
+    for k in range(_TAYLOR_DEGREE - 1):
+        a[:, k + 2] = -((k + 1) * (k + 2 * m + 1) * a[:, k + 1] + c * a[:, k]
+                        + (a[:, k - 1] if k else 0.0)) / (c * ((k + 1) * (k + 2)))
+    a = np.ascontiguousarray(a.transpose(0, 2, 1))  # a piece's row is one gather
+    a.setflags(write=False)
+    return dict(zip(orders, a))
+
+
+def _jm_taylor(m: int, x: np.ndarray) -> np.ndarray:
+    """J_m(x) for 2 < x <= max(_HANKEL_FLOOR, m): the piece of order m's
+    `_taylor_tables` that holds x, summed by Horner's rule at t = x - c,
+    which is exact, times (1 + u)^m, u = t/c.  That power is taken by
+    repeated squaring of w = (1 + u)^k - 1, so each rounding stays relative
+    to w, not to 1: (x/2)^m by repeated squaring carries the first square's
+    rounding m/2 times, up to 2.1 ulps of 1 at m = 50."""
+    a = _taylor_tables(max(m, _SHARED_BAND))[m]
+    i = ((x - _SERIES_TOP) * (1.0 / _TAYLOR_STEP)).astype(np.intp)
+    np.minimum(i, a.shape[0] - 1, out=i)  # x at the band's top edge
+    c = _SERIES_TOP + (i + 0.5) * _TAYLOR_STEP
+    t = x - c
+    co = np.take(a, i, axis=0).T
+    acc = co[-1] * t
+    for row in co[-2:0:-1]:
+        acc += row
+        acc *= t
+    acc += co[0]
+    if m:
+        # power is (1 + u)^j - 1 over the bits j of m taken so far
+        e, w, power = m, t / c, None
+        while True:
+            if e & 1:
+                power = w if power is None else power + w * (power + 1.0)
+            e >>= 1
+            if not e:
+                break
+            w = w * (w + 2.0)
+        acc += acc * power
+    return acc
 
 
 def _hankel_coefficients() -> np.ndarray:
@@ -135,18 +258,19 @@ def _hankel_coefficients() -> np.ndarray:
 _HANKEL_PQ = _hankel_coefficients()
 
 
-def _hankel_pq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hankel P and Q sums of orders 0 and 1, rows 0 and 1: terms 1 to
-    _HANKEL_TERMS - 1 after the leading 1 of P, each smaller than the one
-    before it wherever x is past the floor.  P and x Q are polynomials in
-    y = 1/x^2 with the tabulated coefficients `_HANKEL_PQ`, summed by
-    Horner's rule from the highest power down."""
+def _hankel_pq(x: np.ndarray, orders: slice = slice(0, 2)) -> tuple[np.ndarray, np.ndarray]:
+    """Hankel P and Q sums of the `orders` among 0 and 1, one row each:
+    terms 1 to _HANKEL_TERMS - 1 after the leading 1 of P, each smaller
+    than the one before it wherever x is past the floor.  P and x Q are
+    polynomials in y = 1/x^2 with the tabulated coefficients `_HANKEL_PQ`,
+    summed by Horner's rule from the highest power down."""
+    coef = _HANKEL_PQ[:, :, orders]
     y = 1.0 / (x * x)
-    pq = _HANKEL_PQ[-1] * y
-    for c in _HANKEL_PQ[-2:0:-1]:
+    pq = coef[-1] * y
+    for c in coef[-2:0:-1]:
         pq += c
         pq *= y
-    pq += _HANKEL_PQ[0]
+    pq += coef[0]
     return pq[0], pq[1] / x
 
 
@@ -154,18 +278,23 @@ def _jm_hankel_recurrence(m: int, x: np.ndarray) -> np.ndarray:
     """J_m(x) for x > max(_HANKEL_FLOOR, m): J_0 and J_1 from the Hankel
     expansion, with phase and amplitude from cos x and sin x of the exact x,
     then J_{k+1} = (2k/x) J_k - J_{k-1} up to order m, stable while k < x
-    (Gautschi, SIAM Rev. 9, 1967), as here throughout."""
-    p, q = _hankel_pq(x)
+    (Gautschi, SIAM Rev. 9, 1967), as here throughout.  At m <= 1 only
+    order m's P and Q are summed."""
+    p, q = _hankel_pq(x, slice(m, m + 1) if m <= 1 else slice(0, 2))
     c, s = np.cos(x), np.sin(x)
     cos, sin = c + s, s - c  # sqrt(2) times those of chi = x - pi/4
     amp = np.sqrt(1.0 / (np.pi * x))
+    if m == 0:
+        return amp * (p[0] * cos - q[0] * sin)
     # order 1 has phase chi - pi/2: its cos is sin(chi), its sin -cos(chi)
+    jk1 = amp * (p[-1] * sin + q[-1] * cos)
+    if m == 1:
+        return jk1
     jk = amp * (p[0] * cos - q[0] * sin)
-    jk1 = amp * (p[1] * sin + q[1] * cos)
     inv = 2.0 / x
     for k in range(1, m):
         jk, jk1 = jk1, (k * inv) * jk1 - jk
-    return jk1 if m else jk
+    return jk1
 
 
 def _validate_order(m, limit: int = M_MAX) -> int:
@@ -182,9 +311,11 @@ def bessel_j(m, x):
     `x` may be a scalar or an ndarray (any shape); negative arguments and
     arguments beyond the envelope raise DomainError.  Orders up to 51 are
     accepted so that the derivative recurrence stays inside the engine.
-    Points up to 2, 0 included, take the ascending series, points up to
-    max(15.3, m) Miller's backward recurrence, and the rest the Hankel
-    expansion of J_0 and J_1 and upward recurrence to order m.
+    Points up to 2, 0 included, take the ascending series; points up to
+    max(15.3, m) a degree-8 Taylor piece, 1/8 wide, from order m's table of
+    J_m(x) (2/x)^m, which the first call in that band builds from one
+    double-double run of Miller's backward recurrence; and the rest the
+    Hankel expansion of J_0 and J_1 and upward recurrence to order m.
     """
     m = _validate_order(m, limit=M_MAX + 1)
     arr = np.asarray(x, dtype=float)
@@ -194,7 +325,7 @@ def bessel_j(m, x):
     out = np.empty_like(arr)
     top = max(_HANKEL_FLOOR, m)
     for route, sel in ((_jm_series, arr <= _SERIES_TOP),
-                       (_jm_miller, (_SERIES_TOP < arr) & (arr <= top)),
+                       (_jm_taylor, (_SERIES_TOP < arr) & (arr <= top)),
                        (_jm_hankel_recurrence, top < arr)):
         xs = arr[sel]
         part = np.empty_like(xs)
@@ -345,6 +476,10 @@ def pfq(a, b, z: float) -> float:
     short, the sum is redone once at the S they measure.  A term past
     2^_PFQ_PEAK_BITS (or one whose float products overflow) and a sum that
     needs more than _PFQ_BUDGET terms raise NonConvergence.
+
+    The cost grows about as |z|: a sum of the oracle's forms at a zero x,
+    z = -x^2, runs about 4x terms on integers of about 6x bits, so the cost
+    grows as x^2 (0.20 s at x = 3141, 1.95 s at x = 9999).
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]

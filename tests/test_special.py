@@ -1,6 +1,9 @@
 """Bessel and hypergeometric routines against independent references."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -359,6 +362,18 @@ def test_hankel_sums_match_term_by_term():
             assert abs(got - exact) <= j * Fraction(eps) * abs(exact), (order, j)
 
 
+def test_hankel_shortcut_is_bit_identical():
+    # at m <= 1 only order m's P and Q are summed: the value is, bit for bit,
+    # the one formed from both orders' sums, on the grid of the test above
+    x = np.concatenate([[_HANKEL_FLOOR, 50.0, 188.0], np.geomspace(_HANKEL_FLOOR, X_MAX, 60)])
+    p, q = special._hankel_pq(x)
+    c, s = np.cos(x), np.sin(x)
+    cos, sin = c + s, s - c
+    amp = np.sqrt(1.0 / (np.pi * x))
+    assert np.array_equal(special._jm_hankel_recurrence(0, x), amp * (p[0] * cos - q[0] * sin))
+    assert np.array_equal(special._jm_hankel_recurrence(1, x), amp * (p[1] * sin + q[1] * cos))
+
+
 def test_series_twice_the_terms_changes_no_bit(monkeypatch):
     x = np.concatenate([[0.0, 5e-324], np.linspace(0.0, _SERIES_TOP, 2001)[1:]])
     fixed = [bessel_j(m, x) for m in range(M_MAX + 2)]
@@ -367,16 +382,114 @@ def test_series_twice_the_terms_changes_no_bit(monkeypatch):
         assert np.array_equal(bessel_j(m, x), fixed[m]), m
 
 
-def test_miller_later_start_moves_values_by_rounding_only(monkeypatch):
+@pytest.fixture
+def fresh_tables():
+    """Miller's band reads tables cached on first use: build them anew for
+    the test, and again for the tests after it."""
+    special._taylor_tables.cache_clear()
+    yield
+    special._taylor_tables.cache_clear()
+
+
+def test_miller_later_start_moves_values_by_rounding_only(monkeypatch, fresh_tables):
     # starting every order 20 higher changes the rounding, not the values: no
     # point of any band moves by more than 2 ulps of 1, the sum the recurrence
-    # is normalised by (largest change measured: 1.3 ulps, 2.9e-16)
+    # is normalised by (largest change measured: 0, as the double-double
+    # recurrence rounds each value once); the tables are rebuilt from the
+    # later start, or the test would compare a cached table with itself
     grids = [np.linspace(_SERIES_TOP, max(_HANKEL_FLOOR, m), 2001)[1:] for m in range(M_MAX + 2)]
     fixed = [bessel_j(m, x) for m, x in enumerate(grids)]
     start = special._miller_start
     monkeypatch.setattr(special, "_miller_start", lambda m: start(m) + 20)
+    special._taylor_tables.cache_clear()
     for m, x in enumerate(grids):
         assert np.max(np.abs(bessel_j(m, x) - fixed[m])) <= 2 * np.spacing(1.0), m
+
+
+def test_miller_builder_rounds_each_value_once():
+    # the double-double run the tables are built from gives J_m and J_{m+1}
+    # at every piece centre within half an ulp of themselves against 30-digit
+    # mpmath (measured: 0.49990), on both sides of the shared band's edge and
+    # up to the top order; in plain float64 the recurrence leaves up to 1.9
+    # ulps of 1
+    with mpmath.workdps(30):
+        for m in (0, 1, 5, 15, 16, 30, M_MAX + 1):
+            count = math.ceil((max(_HANKEL_FLOOR, m) - _SERIES_TOP) / special._TAYLOR_STEP)
+            c = _SERIES_TOP + (np.arange(count) + 0.5) * special._TAYLOR_STEP
+            j = special._jm_miller(max(m, special._SHARED_BAND), c)
+            for order in (m, m + 1):
+                for got, v in zip(j[order], c):
+                    err = abs(mpmath.mpf(got) - mpmath.besselj(order, mpmath.mpf(v)))
+                    assert err <= 0.501 * np.spacing(abs(got)), (order, v)
+
+
+def _piece_grid(m):
+    """Each Taylor piece's edges, centre and quarter points in Miller's band
+    of order m, and the band's top."""
+    top = max(_HANKEL_FLOOR, m)
+    count = math.ceil((top - _SERIES_TOP) / special._TAYLOR_STEP)
+    x = _SERIES_TOP + np.arange(4 * count + 1) * (special._TAYLOR_STEP / 4)
+    return np.append(x[(x > _SERIES_TOP) & (x < top)], top)
+
+
+def test_taylor_tables_match_their_builder():
+    # every order's pieces against the double-double Miller run they are
+    # built from, within 2 ulps of 1 (measured: 0.5, also on 20000 random
+    # points per order); and where x < 0.9 m, J_m falls away from its peak
+    # and only the scaled pieces keep its relative accuracy: within 1e-14 of
+    # 30-digit mpmath there (measured: 5.6e-16)
+    for m in range(M_MAX + 2):
+        x = _piece_grid(m)
+        want = special._jm_miller(max(m, special._SHARED_BAND), x)[m]
+        assert np.max(np.abs(bessel_j(m, x) - want)) <= 2 * np.spacing(1.0), m
+    with mpmath.workdps(30):
+        for m in range(3, M_MAX + 2):
+            x = _piece_grid(m)
+            x = x[x < 0.9 * m][::10]
+            want = np.array([float(mpmath.besselj(m, mpmath.mpf(v))) for v in x])
+            assert np.max(np.abs(bessel_j(m, x) / want - 1.0)) <= 1e-14, m
+
+
+def _taylor_edge_term(m, degree, step):
+    """The first term left out at the edge of each piece of order m, step
+    wide, over the piece's amplitude sqrt(J_m(c)^2 + J_{m+1}(c)^2): the
+    coefficients of t^k in J_m(c + t) (c/(c + t))^m from scipy's J_m(c) and
+    -J_{m+1}(c) and the Bessel equation of J_m(x) (2/x)^m, which
+    test_taylor_tables_match_their_builder holds the pieces to."""
+    count = math.ceil((max(_HANKEL_FLOOR, m) - _SERIES_TOP) / step)
+    c = _SERIES_TOP + (np.arange(count) + 0.5) * step
+    a = [sps.jv(m, c), -sps.jv(m + 1, c)]
+    for k in range(degree):
+        a.append(-((k + 1) * (k + 2 * m + 1) * a[k + 1] + c * a[k] + (a[k - 1] if k else 0.0))
+                 / (c * (k + 1) * (k + 2)))
+    return np.abs(a[degree + 1]) * (step / 2) ** (degree + 1) / np.hypot(a[0], a[1])
+
+
+def test_taylor_step_and_degree_bound_the_remainder():
+    # at every piece's edge the first term left out is below 2^-54 of the
+    # piece's amplitude, for every order; a degree less, or twice the step,
+    # leaves a larger one at m = 0 (measured: 2^-54.6 at degree 8 against
+    # 2^-47.4 at degree 7 and 2^-45.6 at twice the step)
+    step, degree = special._TAYLOR_STEP, special._TAYLOR_DEGREE
+    for m in range(M_MAX + 2):
+        assert np.max(_taylor_edge_term(m, degree, step)) < 2.0 ** -54, m
+    assert np.max(_taylor_edge_term(0, degree - 1, step)) >= 2.0 ** -54
+    assert np.max(_taylor_edge_term(0, degree, 2 * step)) >= 2.0 ** -54
+
+
+def test_taylor_tables_are_built_on_first_use():
+    # importing the package builds no table; the orders up to the shared
+    # band share one, and a table past it holds one order in at most 28 KB
+    code = ("import qtrap.cli, qtrap.special as s; "
+            "print(s._taylor_tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["0"]
+    shared = special._taylor_tables(special._SHARED_BAND)
+    assert sorted(shared) == list(range(special._SHARED_BAND + 1))
+    assert list(special._taylor_tables(M_MAX + 1)) == [M_MAX + 1]
+    assert special._taylor_tables(M_MAX + 1)[M_MAX + 1].nbytes <= 28 * 1024
+    assert not shared[0].flags.writeable
 
 
 def test_bessel_both_sides_of_series_cut():
