@@ -227,10 +227,9 @@ def cmd_moments(args, cfg) -> int:
 
 def cmd_density_r(args, cfg) -> int:
     samples = evolve.density_profile(args.m, args.n, args.alpha_ratio, args.xi, args.grid)
-    rows = [(s.eta, s.T, s.rho_density) for s in samples]
     _csv([("command", "density-r"), ("m", args.m), ("n", args.n),
           ("alpha_ratio", args.alpha_ratio), ("xi", args.xi), ("T", samples[0].T)],
-         ["eta", "T", "rho_density"], rows, args.out)
+         ["eta", "T", "rho_density"], samples, args.out)
     return EXIT_OK
 
 

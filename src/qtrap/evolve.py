@@ -18,16 +18,18 @@ Every radial factor here comes from `spectral.modes`, the one place the
 dressed-mode factor is formed: an exact mode is a general state with a unit
 coefficient vector; the kernel is a projection at t' followed by `modes` at t.
 `modes` is also where the hard wall is decided: its rows are exactly zero
-on and past the wall.  Points are checked where they enter, by `_check_point`:
-`psi_general` and each point of both kernels reject a negative or NaN rho and
-a non-finite phi before any work, while rho = +inf passes and lies past the
-wall.
+on and past the wall.  Both density reads form the evolved eigenstate start
+in one sampler, `_density_samples`, as `RadialDensitySample` named tuples
+(eta, T, rho_density).  Points are checked where they enter, by
+`_check_point`: `psi_general` and each point of both kernels reject a
+negative or NaN rho and a non-finite phi before any work, while rho = +inf
+passes and lies past the wall.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,15 +67,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RadialDensitySample:
+class RadialDensitySample(NamedTuple):
     eta: float
     T: float
     rho_density: float
 
 
-@dataclass(frozen=True)
-class FlightTimes:
+class FlightTimes(NamedTuple):
     """Scaled times at which the wall (T1, at alpha-ratio 1: at ratio r it
     is T1 / r) and the direct wave front (T2) reach the observation radius."""
     T1: float
@@ -123,6 +123,18 @@ def psi_general(state: SpectralState, rho, phi, t: float, geom: TrapGeometry):
 # --------------------------------------------------------------------------
 # Density diagnostics
 
+def _density_samples(m: int, n: int, x: float, geom: TrapGeometry, eta, t, T
+                     ) -> list[RadialDensitySample]:
+    """The one sampler of both density reads: lambda^2 eta |R|^2 of the
+    evolved eigenstate start u_mn (zero x) at the broadcast points (eta, t),
+    one record per point, each stamped with its scaled time T."""
+    lam = 2.0 * math.pi / x          # a = 1
+    rad = _radial_wave(coeffs_from_eigenstate(m, n, geom), eta * lam / geom.L(t), t, geom)
+    dens = lam ** 2 * eta * np.abs(rad) ** 2
+    return list(map(RadialDensitySample._make,
+                    zip(*(a.tolist() for a in np.broadcast_arrays(eta, T, dens)))))
+
+
 def density_profile(m: int, n: int, alpha_ratio: float, xi_target: float,
                     grid_size: int = 400) -> list[RadialDensitySample]:
     """Scaled radial density of the evolved mode (m, n) when the wall reaches
@@ -148,18 +160,8 @@ def density_profile(m: int, n: int, alpha_ratio: float, xi_target: float,
             raise DomainError(
                 f"xi_target {xi_target} is not reachable with alpha_ratio {alpha_ratio}"
             )
-
-    lam = 2.0 * math.pi / x          # a = 1
-    nu = x * x / (4.0 * math.pi)
-    T = nu * t
-    state = coeffs_from_eigenstate(m, n, geom)
-    L = geom.L(t)
-    eta_wall = xi_target * x / (2.0 * math.pi)
-    eta = np.linspace(0.0, eta_wall, grid_size)
-    rad = _radial_wave(state, eta * lam / L, t, geom)
-    dens = lam ** 2 * eta * np.abs(rad) ** 2
-    return [RadialDensitySample(eta=float(e), T=float(T), rho_density=float(d))
-            for e, d in zip(eta, dens)]
+    eta = np.linspace(0.0, xi_target * x / (2.0 * math.pi), grid_size)
+    return _density_samples(m, n, x, geom, eta, t, x * x / (4.0 * math.pi) * t)
 
 
 def density_timeseries(m: int, n: int, alpha_ratio: float, eta_obs: float,
@@ -182,25 +184,17 @@ def density_timeseries(m: int, n: int, alpha_ratio: float, eta_obs: float,
     if not math.isfinite(eta_obs):
         raise DomainError(f"eta_obs must be finite, got {eta_obs}")
     x = _zero(m, n)
-    lam = 2.0 * math.pi / x
-    rho0 = eta_obs * lam
+    rho0 = eta_obs * (2.0 * math.pi / x)
     if rho0 <= 1.0:
         raise DomainError(
             f"observation radius must lie outside the initial wall: eta_obs > {x / (2.0 * math.pi):.6g}"
         )
     geom = TrapGeometry.from_alpha(alpha_ratio * 0.5 * x)
-    state = coeffs_from_eigenstate(m, n, geom)
-
-    nu = x * x / (4.0 * math.pi)
     flight = FlightTimes(T1=x / (4.0 * math.pi) * (rho0 - 1.0),
                          T2=x / (4.0 * math.pi) * (rho0 + 1.0))
     Ts = np.linspace(0.0, T_max, steps)
-    ts = Ts / nu
-    rad = _radial_wave(state, rho0 / geom.L(ts), ts, geom)
-    dens = lam ** 2 * eta_obs * np.abs(rad) ** 2
-    samples = [RadialDensitySample(eta=float(eta_obs), T=float(T), rho_density=float(d))
-               for T, d in zip(Ts, dens)]
-    return samples, flight
+    nu = x * x / (4.0 * math.pi)
+    return _density_samples(m, n, x, geom, float(eta_obs), Ts / nu, Ts), flight
 
 
 def visibility(samples: list[RadialDensitySample], flight: FlightTimes) -> float:

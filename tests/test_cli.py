@@ -96,19 +96,24 @@ def test_truncation_exits_numeric(capsys):
     assert "norm deficit 3.048e-01" in captured.err
 
 
-@pytest.mark.parametrize("argv, deficit", [
+@pytest.mark.parametrize("argv, refusal", [
     # route 1's row at t misses 5.0e-2 of the norm: the routes were 13% apart
     (["--m", "0", "--n", "2", "--alpha-ratio", "20", "--xi", "2"], "at xi = 2: norm deficit 5.049e-02"),
     # 3.6e4 rad, still summed on the rule ladder, then refused: the 60 modes
     # hold none of the row at xi = 3e4
     (["--m", "0", "--n", "1", "--alpha-ratio", "1", "--xi", "3e4"],
      "at xi = 30000: norm deficit 1.000e+00"),
-], ids=["alpha-ratio-20", "xi-3e4"])
-def test_energy_refuses_truncated_route_1(capsys, argv, deficit):
+    # the row at xi = 0.1 misses only 5.3e-8 of the norm, but route 1's
+    # x^2-weighted tail leaves it 1.8e-4 (relative) from route 2
+    (["--m", "5", "--n", "3", "--alpha-ratio", "-5", "--xi", "0.1"],
+     "routes disagree at xi = 0.1: route 1 (level sum) 10.03790139 vs route 2 (closed) "
+     "10.03607758, gap 1.824e-03"),
+], ids=["alpha-ratio-20", "xi-3e4", "routes-apart"])
+def test_energy_refuses_truncated_route_1(capsys, argv, refusal):
     rc = main(["energy", "--grid", "2", *argv])
     captured = capsys.readouterr()
     assert rc == EXIT_NUMERIC and captured.out == ""
-    assert deficit in captured.err
+    assert refusal in captured.err
 
 
 def test_budget_exceeded_exits_numeric(monkeypatch, capsys):

@@ -24,7 +24,7 @@ from qtrap.evolve import (
 )
 from qtrap.quad import integrate
 from qtrap.special import DomainError, NumericError, bessel_j
-from qtrap.spectral import TrapGeometry, coeffs_from_eigenstate
+from qtrap.spectral import TrapGeometry, TruncationError, coeffs_from_eigenstate
 
 
 def _x(m, n):
@@ -560,6 +560,32 @@ def test_timeseries_rejects_bad_geometry():
         density_timeseries(0, 1, -1.0, x / math.pi, 4.0)
     with pytest.raises(DomainError):
         density_timeseries(0, 1, 1.0, 0.2 * x / (2.0 * math.pi), 4.0)
+
+
+@pytest.mark.parametrize("read, deficit", [
+    (lambda: density_profile(5, 2, 20.0, 2.0), "3.048e-01"),
+    (lambda: density_timeseries(2, 40, 50.0, _x(2, 40) / math.pi, 1.0), "9.705e-01"),
+], ids=["profile", "timeseries"])
+def test_density_reads_refuse_a_truncated_start(read, deficit):
+    # both reads evolve an exact mode, so the only truncation is the
+    # eigenstate start's at t = 0, and the guard there refuses it
+    with pytest.raises(TruncationError, match=f"norm deficit {deficit}") as info:
+        read()
+    assert f"{info.value.deficit:.3e}" == deficit
+
+
+def test_density_reads_share_one_sampler():
+    # a two-step time series at a profile grid point, ending at the
+    # profile's T, lands on that profile sample
+    point = density_profile(0, 1, 1.0, 2.0)[300]
+    assert point.eta > _x(0, 1) / (2.0 * math.pi) and point.rho_density > 0.0
+    samples, _ = density_timeseries(0, 1, 1.0, point.eta, point.T, steps=2)
+    last = samples[-1]
+    assert (last.eta, last.T) == (point.eta, point.T)
+    assert_allclose(last.rho_density, point.rho_density, rtol=1e-12)
+    # the records are named tuples: unpacked in field order, built by keyword
+    eta, T, rho_density = point
+    assert evolve.RadialDensitySample(eta=eta, T=T, rho_density=rho_density) == point
 
 
 def test_visibility_counts_fringes():
